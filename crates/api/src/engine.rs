@@ -466,7 +466,7 @@ impl Engine {
                 key: &key,
                 published: false,
             };
-            let result = self.dispatch_stored(req, guard);
+            let result = self.dispatch_stored(req, &key, guard);
             lead.publish(result.clone());
             return result;
         };
@@ -487,8 +487,11 @@ impl Engine {
 
     /// Dispatch through the persistent tier when one is attached: store
     /// hit → parse and return the journaled response; miss → compute via
-    /// [`Engine::dispatch`], append, return. Validation and the deadline
-    /// run *before* the lookup, so attaching a store never changes which
+    /// [`Engine::dispatch`], append, return. The caller has already
+    /// validated `req` and built its `key` (each exactly once per request:
+    /// [`Engine::dispatch_coalesced`] for top-level requests,
+    /// [`Engine::ber_point_probe`] for sub-requests), and the deadline runs
+    /// *before* the lookup, so attaching a store never changes which
     /// requests are accepted — only whether they recompute.
     ///
     /// The store can only ever help: a failing lookup (I/O error, or a
@@ -499,6 +502,7 @@ impl Engine {
     fn dispatch_stored(
         &self,
         req: &EvalRequest,
+        key: &str,
         guard: DeadlineGuard,
     ) -> Result<EvalResponse, GccoError> {
         // Optimizer responses are never journaled as one record: each of
@@ -512,11 +516,9 @@ impl Engine {
         let Some(tier) = &self.store else {
             return self.dispatch(req, guard);
         };
-        req.validate()?;
         guard.check()?;
-        let key = req.cache_key();
         let mut store_failed = false;
-        match tier.store.get(&key) {
+        match tier.store.get(key) {
             Ok(Some(bytes)) => match decode_stored(&bytes) {
                 Ok(resp) => {
                     tier.hits.inc();
@@ -540,7 +542,7 @@ impl Engine {
         let resp = self.dispatch(req, guard)?;
         match tier
             .store
-            .append(&key, crate::json::encode_response(&resp).as_bytes())
+            .append(key, crate::json::encode_response(&resp).as_bytes())
         {
             Ok(()) => tier.appends.inc(),
             Err(_) => {
@@ -556,8 +558,8 @@ impl Engine {
 
     /// The uninstrumented dispatch body — kernels only, no metrics, so
     /// counting and timing provably cannot perturb a computed value.
+    /// `req` arrives validated.
     fn dispatch(&self, req: &EvalRequest, guard: DeadlineGuard) -> Result<EvalResponse, GccoError> {
-        req.validate()?;
         guard.check()?;
         match req {
             EvalRequest::BerPoint { spec, sj } => {
@@ -672,26 +674,8 @@ impl Engine {
                     .iter()
                     .map(|probe| {
                         self.guard.check()?;
-                        let sub = EvalRequest::BerPoint {
-                            spec: probe.clone(),
-                            sj: None,
-                        };
-                        // Count this run's warm starts before dispatching:
-                        // the tier's own hit counter is cumulative across
-                        // the engine's lifetime, while the report wants
-                        // the per-run ratio.
-                        if let Some(tier) = &self.engine.store {
-                            if tier.store.contains(&sub.cache_key()) {
-                                self.hits += 1;
-                            }
-                        }
-                        match self.engine.dispatch_stored(&sub, self.guard)? {
-                            EvalResponse::Scalar { value } => Ok(value),
-                            other => Err(GccoError::Io(format!(
-                                "stored ber_point value has kind \"{}\"",
-                                other.kind()
-                            ))),
-                        }
+                        self.engine
+                            .ber_point_probe(probe, self.guard, Some(&mut self.hits))
                     })
                     .collect()
             }
@@ -739,22 +723,7 @@ impl Engine {
     ) -> Result<EvalResponse, GccoError> {
         let specs = mc.channel_specs();
         let eval_channel = |i: usize, lane: &ModelSpec| -> Result<ChannelOut, GccoError> {
-            let sub = EvalRequest::BerPoint {
-                spec: lane.clone(),
-                sj: None,
-            };
-            let ber = match self.dispatch_stored(&sub, guard)? {
-                EvalResponse::Scalar { value } => value,
-                other => {
-                    // Only reachable if a store journaled a non-scalar
-                    // value under a ber_point key — corruption, not a
-                    // client mistake.
-                    return Err(GccoError::Io(format!(
-                        "channel {i}: stored ber_point value has kind \"{}\"",
-                        other.kind()
-                    )));
-                }
-            };
+            let ber = self.ber_point_probe(lane, guard, None)?;
             let settling_ui = settling_time_ui(&lane.build()?);
             Ok(ChannelOut {
                 index: i as u32,
@@ -795,6 +764,37 @@ impl Engine {
             mw_per_gbps,
             within_budget,
         })
+    }
+
+    /// One [`EvalRequest::BerPoint`] sub-request of an optimizer or
+    /// multi-channel run, validated and keyed exactly once, then dispatched
+    /// through the store tier. With `hits`, a store hit is counted there
+    /// before dispatching: the tier's own hit counter is cumulative across
+    /// the engine's lifetime, while the optimizer report wants the per-run
+    /// count.
+    fn ber_point_probe(
+        &self,
+        spec: &ModelSpec,
+        guard: DeadlineGuard,
+        hits: Option<&mut u64>,
+    ) -> Result<f64, GccoError> {
+        let sub = EvalRequest::ber_point(spec.clone());
+        sub.validate()?;
+        let key = sub.cache_key();
+        if let (Some(hits), Some(tier)) = (hits, &self.store) {
+            if tier.store.contains(&key) {
+                *hits += 1;
+            }
+        }
+        match self.dispatch_stored(&sub, &key, guard)? {
+            EvalResponse::Scalar { value } => Ok(value),
+            // Only reachable if a store journaled a non-scalar value under
+            // a ber_point key — corruption, not a client mistake.
+            other => Err(GccoError::Io(format!(
+                "stored ber_point value has kind \"{}\"",
+                other.kind()
+            ))),
+        }
     }
 
     fn power_scan(

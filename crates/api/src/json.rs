@@ -2,12 +2,16 @@
 //!
 //! The workspace deliberately has no serialization dependency (the build
 //! is offline; `vendor/` holds only stubs), so the wire format is written
-//! and parsed here by hand: a small recursive-descent JSON parser plus
-//! explicit encoders for [`EvalRequest`]/[`EvalResponse`] and the
-//! `gcco-serve` envelopes. Floats are emitted with Rust's shortest
-//! round-trip formatting (`{:?}`), so **encode → parse is exact** — the
-//! round-trip property tests in `tests/json_roundtrip.rs` assert equality,
-//! not approximation.
+//! and parsed here: a small recursive-descent JSON parser plus one
+//! crate-private `Wire` trait that encodes a value into a shared buffer
+//! and decodes it from a parsed [`Json`]. Every struct on the wire lists
+//! its fields once, in wire order, in a `wire_struct!` row, and every
+//! tagged enum lists its variants once in a `wire_enum!` row; both
+//! directions of the codec are derived from those lists. Floats are
+//! emitted with Rust's shortest round-trip formatting (`{:?}`) and
+//! integer literals parse exactly, so **encode → parse is exact** — the
+//! round-trip property tests in `tests/json_roundtrip.rs` assert
+//! equality, not approximation, and `tests/wire_bytes.rs` pins the text.
 
 use crate::baseline::{BaselineMetric, BaselineOut, BaselineSpec, CdrArchKind};
 use crate::error::GccoError;
@@ -21,8 +25,8 @@ use gcco_stat::{EdgeModel, SamplingTap};
 use std::fmt::Write as _;
 
 /// The protocol version this build speaks. Every envelope must declare it
-/// in a top-level `"v"` field; see [`parse_envelope`]'s gate in
-/// [`parse_client_line`] for the acceptance policy:
+/// in a top-level `"v"` field; see the gate in [`parse_client_line`] for
+/// the acceptance policy:
 ///
 /// * `"v": 2` — current, accepted.
 /// * anything else — including `"v": 1` and an absent `"v"` field, the
@@ -33,6 +37,12 @@ use std::fmt::Write as _;
 ///   failure.
 pub const PROTOCOL_VERSION: u64 = 2;
 
+/// Deepest array/object nesting [`Json::parse`] accepts. The deepest
+/// legal line (a batch of optimize envelopes with counted run lengths)
+/// nests about 7 levels; the cap only exists so hostile input cannot
+/// exhaust the parser's stack.
+const MAX_DEPTH: usize = 64;
+
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Json {
@@ -40,7 +50,9 @@ pub enum Json {
     Null,
     /// `true` / `false`
     Bool(bool),
-    /// Any JSON number (parsed as `f64`).
+    /// A plain digit literal that fits a `u64`, kept exact.
+    Int(u64),
+    /// Any other JSON number (parsed as `f64`).
     Num(f64),
     /// A string.
     Str(String),
@@ -52,7 +64,7 @@ pub enum Json {
 
 impl Json {
     /// Parses one complete JSON document; trailing non-whitespace is an
-    /// error.
+    /// error, and so is nesting deeper than 64 arrays/objects.
     ///
     /// # Errors
     ///
@@ -60,8 +72,10 @@ impl Json {
     /// offset.
     pub fn parse(text: &str) -> Result<Json, GccoError> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -80,7 +94,8 @@ impl Json {
         }
     }
 
-    /// The value as a float.
+    /// The value as a float (an exact integer converts with the same
+    /// rounding as parsing its digits as a float would).
     ///
     /// # Errors
     ///
@@ -88,17 +103,22 @@ impl Json {
     pub fn as_f64(&self, what: &str) -> Result<f64, GccoError> {
         match self {
             Json::Num(x) => Ok(*x),
+            Json::Int(n) => Ok(*n as f64),
             other => Err(type_err(what, "a number", other)),
         }
     }
 
     /// The value as an unsigned integer (rejects fractions and negatives).
+    /// Digit literals are exact across the whole `u64` range; float forms
+    /// such as `5.0` or `5e0` are accepted up to 2^53, where every integer
+    /// is still exact.
     ///
     /// # Errors
     ///
     /// [`GccoError::Parse`] when the value is not a non-negative integer.
     pub fn as_u64(&self, what: &str) -> Result<u64, GccoError> {
         match self {
+            Json::Int(n) => Ok(*n),
             Json::Num(x) if *x >= 0.0 && x.fract() == 0.0 && *x <= 2f64.powi(53) => Ok(*x as u64),
             other => Err(type_err(what, "a non-negative integer", other)),
         }
@@ -108,9 +128,10 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// [`GccoError::Parse`] when the value is not an integer.
+    /// [`GccoError::Parse`] when the value is not an integer in range.
     pub fn as_i64(&self, what: &str) -> Result<i64, GccoError> {
         match self {
+            Json::Int(n) => i64::try_from(*n).map_err(|_| range_err(what, *n)),
             Json::Num(x) if x.fract() == 0.0 && x.abs() <= 2f64.powi(53) => Ok(*x as i64),
             other => Err(type_err(what, "an integer", other)),
         }
@@ -168,7 +189,7 @@ fn type_err(what: &str, expected: &str, got: &Json) -> GccoError {
     let tag = match got {
         Json::Null => "null",
         Json::Bool(_) => "a boolean",
-        Json::Num(_) => "a number",
+        Json::Int(_) | Json::Num(_) => "a number",
         Json::Str(_) => "a string",
         Json::Arr(_) => "an array",
         Json::Obj(_) => "an object",
@@ -176,12 +197,18 @@ fn type_err(what: &str, expected: &str, got: &Json) -> GccoError {
     GccoError::Parse(format!("{what}: expected {expected}, got {tag}"))
 }
 
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+fn range_err(what: &str, n: u64) -> GccoError {
+    GccoError::Parse(format!("{what}: {n} is out of range"))
 }
 
-impl<'a> Parser<'a> {
+struct Parser<'a> {
+    text: &'a str,
+    bytes: &'a [u8],
+    pos: usize,
+    depth: usize,
+}
+
+impl Parser<'_> {
     fn err(&self, msg: &str) -> GccoError {
         GccoError::Parse(format!("{msg} at byte {}", self.pos))
     }
@@ -211,8 +238,19 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Json, GccoError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let v = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -243,8 +281,13 @@ impl<'a> Parser<'a> {
                 break;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("invalid number bytes"))?;
+        // Only ASCII bytes were consumed, so both ends are char boundaries.
+        let text = &self.text[start..self.pos];
+        if text.bytes().all(|b| b.is_ascii_digit()) {
+            if let Ok(n) = text.parse::<u64>() {
+                return Ok(Json::Int(n));
+            }
+        }
         text.parse::<f64>()
             .map(Json::Num)
             .map_err(|_| GccoError::Parse(format!("invalid number \"{text}\" at byte {start}")))
@@ -254,6 +297,17 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run of plain characters up to the next quote,
+            // escape or control byte in one slice: those stop bytes are
+            // ASCII, so the run ends on a char boundary.
+            let run = self.pos;
+            while let Some(b) = self.peek() {
+                if b == b'"' || b == b'\\' || b < 0x20 {
+                    break;
+                }
+                self.pos += 1;
+            }
+            out.push_str(&self.text[run..self.pos]);
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
@@ -296,17 +350,7 @@ impl<'a> Parser<'a> {
                         _ => return Err(self.err("unknown escape")),
                     }
                 }
-                Some(_) => {
-                    // Consume one UTF-8 scalar from the source text.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8 in string"))?;
-                    let ch = rest.chars().next().ok_or_else(|| self.err("empty"))?;
-                    if (ch as u32) < 0x20 {
-                        return Err(self.err("unescaped control character"));
-                    }
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
-                }
+                Some(_) => return Err(self.err("unescaped control character")),
             }
         }
     }
@@ -376,113 +420,417 @@ impl<'a> Parser<'a> {
 
 /// Escapes and quotes a string for JSON output.
 pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
+    let mut buf = String::with_capacity(s.len() + 2);
+    push_json_string(&mut buf, s);
+    buf
 }
 
 /// Formats a float with Rust's shortest round-trip representation
 /// (`5.0`, `0.021`, `1e-12`, …) — exact under encode → parse. Non-finite
 /// values (which validation keeps out of every payload) become `null`.
 pub fn json_f64(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x:?}")
-    } else {
-        "null".to_string()
-    }
+    to_json(&x)
 }
 
-fn json_f64_list(xs: &[f64]) -> String {
-    let mut out = String::from("[");
-    for (i, x) in xs.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
+// ---------------------------------------------------------------------
+// The Wire trait and its derivations
+// ---------------------------------------------------------------------
+
+/// One shape of the wire format: encodes into a shared buffer, decodes
+/// from a parsed value. `what` names the field being decoded, for error
+/// messages.
+trait Wire: Sized {
+    fn encode(&self, buf: &mut String);
+    fn decode(v: &Json, what: &str) -> Result<Self, GccoError>;
+}
+
+/// A [`Wire`] object whose fields can also be written into an enclosing
+/// object (see `#[flatten]` in [`wire_enum!`]).
+trait WireFields: Wire {
+    fn encode_fields(&self, buf: &mut String);
+}
+
+fn to_json<T: Wire>(x: &T) -> String {
+    let mut buf = String::with_capacity(128);
+    x.encode(&mut buf);
+    buf
+}
+
+/// Writes `"name":`, after a comma unless it is the object's first key.
+/// Names are Rust identifiers, so they need no escaping.
+fn key(buf: &mut String, name: &str) {
+    if !buf.ends_with('{') {
+        buf.push(',');
+    }
+    buf.push('"');
+    buf.push_str(name);
+    buf.push_str("\":");
+}
+
+fn push_json_string(buf: &mut String, s: &str) {
+    buf.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => buf.push_str("\\\""),
+            '\\' => buf.push_str("\\\\"),
+            '\n' => buf.push_str("\\n"),
+            '\r' => buf.push_str("\\r"),
+            '\t' => buf.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(buf, "\\u{:04x}", c as u32);
+            }
+            c => buf.push(c),
         }
-        out.push_str(&json_f64(*x));
     }
-    out.push(']');
-    out
+    buf.push('"');
 }
 
-fn parse_f64_list(v: &Json, what: &str) -> Result<Vec<f64>, GccoError> {
-    v.as_arr(what)?
-        .iter()
-        .map(|item| item.as_f64(what))
-        .collect()
+fn push_list<T: Wire>(buf: &mut String, items: &[T]) {
+    buf.push('[');
+    for (i, x) in items.iter().enumerate() {
+        if i > 0 {
+            buf.push(',');
+        }
+        x.encode(buf);
+    }
+    buf.push(']');
+}
+
+/// A required object field.
+fn field<T: Wire>(v: &Json, name: &str) -> Result<T, GccoError> {
+    T::decode(v.field(name)?, name)
+}
+
+/// An object field that may be absent or `null`.
+fn optional<T: Wire>(v: &Json, name: &str) -> Result<Option<T>, GccoError> {
+    v.get(name).map_or(Ok(None), |x| Option::decode(x, name))
+}
+
+impl Wire for f64 {
+    fn encode(&self, buf: &mut String) {
+        if self.is_finite() {
+            let _ = write!(buf, "{self:?}");
+        } else {
+            buf.push_str("null");
+        }
+    }
+    fn decode(v: &Json, what: &str) -> Result<f64, GccoError> {
+        v.as_f64(what)
+    }
+}
+
+impl Wire for u64 {
+    fn encode(&self, buf: &mut String) {
+        let _ = write!(buf, "{self}");
+    }
+    fn decode(v: &Json, what: &str) -> Result<u64, GccoError> {
+        v.as_u64(what)
+    }
+}
+
+impl Wire for u32 {
+    fn encode(&self, buf: &mut String) {
+        let _ = write!(buf, "{self}");
+    }
+    fn decode(v: &Json, what: &str) -> Result<u32, GccoError> {
+        let n = v.as_u64(what)?;
+        u32::try_from(n).map_err(|_| range_err(what, n))
+    }
+}
+
+impl Wire for i64 {
+    fn encode(&self, buf: &mut String) {
+        let _ = write!(buf, "{self}");
+    }
+    fn decode(v: &Json, what: &str) -> Result<i64, GccoError> {
+        v.as_i64(what)
+    }
+}
+
+impl Wire for bool {
+    fn encode(&self, buf: &mut String) {
+        buf.push_str(if *self { "true" } else { "false" });
+    }
+    fn decode(v: &Json, what: &str) -> Result<bool, GccoError> {
+        v.as_bool(what)
+    }
+}
+
+impl Wire for String {
+    fn encode(&self, buf: &mut String) {
+        push_json_string(buf, self);
+    }
+    fn decode(v: &Json, what: &str) -> Result<String, GccoError> {
+        v.as_str(what).map(str::to_string)
+    }
+}
+
+impl<T: Wire> Wire for Option<T> {
+    fn encode(&self, buf: &mut String) {
+        match self {
+            Some(x) => x.encode(buf),
+            None => buf.push_str("null"),
+        }
+    }
+    fn decode(v: &Json, what: &str) -> Result<Option<T>, GccoError> {
+        match v {
+            Json::Null => Ok(None),
+            x => T::decode(x, what).map(Some),
+        }
+    }
+}
+
+impl<T: Wire> Wire for Vec<T> {
+    fn encode(&self, buf: &mut String) {
+        push_list(buf, self);
+    }
+    fn decode(v: &Json, what: &str) -> Result<Vec<T>, GccoError> {
+        v.as_arr(what)?.iter().map(|x| T::decode(x, what)).collect()
+    }
+}
+
+/// Derives [`Wire`] for string-valued enums from one `Variant = "name"`
+/// list.
+macro_rules! wire_names {
+    ($($ty:ident { $($var:ident = $name:literal),* $(,)? })*) => {$(
+        impl Wire for $ty {
+            fn encode(&self, buf: &mut String) {
+                buf.push_str(match self {
+                    $($ty::$var => concat!("\"", $name, "\""),)*
+                });
+            }
+            fn decode(v: &Json, what: &str) -> Result<$ty, GccoError> {
+                match v.as_str(what)? {
+                    $($name => Ok($ty::$var),)*
+                    other => Err(GccoError::Parse(format!("unknown {what} \"{other}\""))),
+                }
+            }
+        }
+    )*};
+}
+
+wire_names! {
+    SamplingTap { Standard = "standard", Improved = "improved" }
+    EdgeModel { ResyncReferenced = "resync_referenced", IndependentEdges = "independent_edges" }
+}
+
+/// The architecture names live with [`CdrArchKind`] (they also label its
+/// obs counters).
+impl Wire for CdrArchKind {
+    fn encode(&self, buf: &mut String) {
+        push_json_string(buf, self.wire_name());
+    }
+    fn decode(v: &Json, what: &str) -> Result<CdrArchKind, GccoError> {
+        let name = v.as_str(what)?;
+        CdrArchKind::from_wire(name)
+            .ok_or_else(|| GccoError::Parse(format!("unknown {what} \"{name}\"")))
+    }
+}
+
+/// Derives [`Wire`] for structs from their field list, in wire order: the
+/// object `{"field":value,...}` with each key spelled as the Rust field.
+macro_rules! wire_struct {
+    ($($ty:ident { $($field:ident),* $(,)? })*) => {$(
+        impl WireFields for $ty {
+            fn encode_fields(&self, buf: &mut String) {
+                $(
+                    key(buf, stringify!($field));
+                    self.$field.encode(buf);
+                )*
+            }
+        }
+        impl Wire for $ty {
+            fn encode(&self, buf: &mut String) {
+                buf.push('{');
+                self.encode_fields(buf);
+                buf.push('}');
+            }
+            fn decode(v: &Json, _: &str) -> Result<$ty, GccoError> {
+                Ok($ty { $($field: field(v, stringify!($field))?,)* })
+            }
+        }
+    )*};
+}
+
+wire_struct! {
+    ModelSpec {
+        dj_pp, rj_rms, sj_pp, sj_freq_norm, ckj_rms, cid_max, run_dist, tap, freq_offset,
+        edge_model, include_slip, gating_tau_ui, grid_step,
+    }
+    SjOverride { amplitude_pp, freq_norm }
+    PowerScanSpec {
+        bit_rate_gbps, swing_v, n_stages, cid, eta, sigma_ui_target, iss_min_ua, iss_max_ua,
+        steps, iss_sizing_max_a,
+    }
+    DsimRunSpec { seed, stages, stage_delay_ps, jitter_rel, duration_ns }
+    MultiChannelSpec {
+        channels, mismatch_sigma, ripple_rms_ui, seed, bit_rate_gbps, target_ber, spec,
+    }
+    OptimizeSpec {
+        base, target_ber, budget_mw_per_gbps, bit_rate_gbps, freq_margin, margin_hi, taps,
+        cids, ckj_lo, ckj_hi, rel_tol, seed, max_probes,
+    }
+    BaselineSpec {
+        bits, seed, bit_rate_gbps, freq_offset, kp, ki, sj_amp_pp, sj_freq_norm, rj_rms_ui,
+    }
+    JtolPointOut { freq_norm, amplitude_pp, censored }
+    SizedCellOut { iss_a, swing_v, delay_fs }
+    PowerPointOut { iss_a, ring_power_mw, sigma_ui }
+    DsimRunOut { period_ps_mean, period_ps_rms, rising_edges, events }
+    ChannelOut { index, freq_offset, ber, settling_ui }
+    BestDesignOut { spec, mw_per_gbps, worst_ber, margin, settling_ui }
+    ComboReportOut { tap, cid_max, ckj_rms, mw_per_gbps, worst_ber, probes }
+    OptimizeOut { best, per_combo, probes, store_hits, converged }
+    BaselineOut { lock_bits, errors, updates, residual_rms_ui, capture_range, jtol_amp_pp }
+}
+
+/// Encodes or decodes one variant field of a [`wire_enum!`] row; a
+/// `#[flatten]` field writes its own fields into the variant's object.
+macro_rules! wire_variant_field {
+    (encode $buf:ident, $field:ident) => {{
+        key($buf, stringify!($field));
+        $field.encode($buf);
+    }};
+    (encode $buf:ident, $field:ident, flatten) => {
+        $field.encode_fields($buf)
+    };
+    (decode $v:ident, $field:ident) => {
+        field($v, stringify!($field))
+    };
+    (decode $v:ident, $field:ident, flatten) => {
+        Wire::decode($v, stringify!($field))
+    };
+}
+
+/// Derives [`Wire`] and `kind()` for internally tagged enums from one
+/// `Variant = "tag" { fields }` list: the object carries the tag under
+/// the given key, followed by the variant's fields in list order.
+macro_rules! wire_enum {
+    ($($vis:vis $ty:ident by $tag_key:literal {
+        $($var:ident = $tag:literal { $($(#[$flat:ident])? $field:ident),* })*
+    })*) => {$(
+        impl $ty {
+            #[doc = concat!(
+                "Short lowercase tag naming the variant (the wire `\"",
+                $tag_key,
+                "\"` field)."
+            )]
+            $vis fn kind(&self) -> &'static str {
+                match self {
+                    $($ty::$var { .. } => $tag,)*
+                }
+            }
+        }
+        impl Wire for $ty {
+            fn encode(&self, buf: &mut String) {
+                buf.push('{');
+                key(buf, $tag_key);
+                push_json_string(buf, self.kind());
+                match self {$(
+                    $ty::$var { $($field),* } => {
+                        $(wire_variant_field!(encode buf, $field $(, $flat)?);)*
+                    }
+                )*}
+                buf.push('}');
+            }
+            fn decode(v: &Json, what: &str) -> Result<$ty, GccoError> {
+                match v.field($tag_key)?.as_str($tag_key)? {
+                    $($tag => Ok($ty::$var {
+                        $($field: wire_variant_field!(decode v, $field $(, $flat)?)?,)*
+                    }),)*
+                    other => Err(GccoError::Parse(format!(
+                        concat!("unknown {} ", $tag_key, " \"{}\""),
+                        what, other
+                    ))),
+                }
+            }
+        }
+    )*};
+}
+
+wire_enum! {
+    pub EvalRequest by "type" {
+        BerPoint = "ber_point" { spec, sj }
+        BerGrid = "ber_grid" { spec, amps_pp, freqs_norm }
+        JtolCurve = "jtol_curve" { spec, freqs_norm, target_ber }
+        FtolSearch = "ftol_search" { spec, target_ber }
+        PowerScan = "power_scan" { scan }
+        DsimRun = "dsim_run" { run }
+        MultiChannel = "multi_channel" { mc }
+        Optimize = "optimize" { opt }
+        Baseline = "baseline" { arch, spec, metric }
+    }
+    pub EvalResponse by "type" {
+        Scalar = "scalar" { value }
+        Grid = "grid" { rows }
+        Jtol = "jtol" { points }
+        Ftol = "ftol" { value }
+        Power = "power" { sized, points }
+        Dsim = "dsim" { run }
+        MultiChannel = "multi_channel" {
+            channels, worst_ber, yield_pct, mw_per_gbps, within_budget
+        }
+        Optimize = "optimize" { #[flatten] out }
+        Baseline = "baseline" { out }
+    }
+    BaselineMetric by "kind" {
+        Track = "track" {}
+        CaptureRange = "capture_range" { hi }
+        JtolPoint = "jtol_point" { freq_norm }
+    }
 }
 
 // ---------------------------------------------------------------------
-// ModelSpec
+// Irregular shapes
 // ---------------------------------------------------------------------
 
-/// The wire name of a sampling tap (used by model specs, optimizer
-/// requests, and optimizer reports alike).
-fn tap_str(tap: SamplingTap) -> &'static str {
-    match tap {
-        SamplingTap::Standard => "standard",
-        SamplingTap::Improved => "improved",
-    }
-}
+// Keys of the hand-written shapes below, each shared by its encoder and
+// decoder.
+const GEOMETRIC: &str = "geometric";
+const COUNTS: &str = "counts";
+const ID: &str = "id";
+const V: &str = "v";
+const DEADLINE_MS: &str = "deadline_ms";
+const REQUEST: &str = "request";
+const BATCH: &str = "batch";
+const NOTE: &str = "note";
+const OK: &str = "ok";
+const ERR: &str = "err";
+const KIND: &str = "kind";
+const DETAIL: &str = "detail";
 
-fn parse_tap(s: &str) -> Result<SamplingTap, GccoError> {
-    match s {
-        "standard" => Ok(SamplingTap::Standard),
-        "improved" => Ok(SamplingTap::Improved),
-        other => Err(GccoError::Parse(format!("unknown tap \"{other}\""))),
+/// `{"geometric":n}` or `{"counts":[...]}`: the key itself is the tag.
+impl Wire for RunDistSpec {
+    fn encode(&self, buf: &mut String) {
+        buf.push('{');
+        match self {
+            RunDistSpec::Geometric(n) => {
+                key(buf, GEOMETRIC);
+                n.encode(buf);
+            }
+            RunDistSpec::Counts(counts) => {
+                key(buf, COUNTS);
+                counts.encode(buf);
+            }
+        }
+        buf.push('}');
+    }
+    fn decode(v: &Json, what: &str) -> Result<RunDistSpec, GccoError> {
+        if let Some(n) = v.get(GEOMETRIC) {
+            Ok(RunDistSpec::Geometric(Wire::decode(n, GEOMETRIC)?))
+        } else if let Some(counts) = v.get(COUNTS) {
+            Ok(RunDistSpec::Counts(Wire::decode(counts, COUNTS)?))
+        } else {
+            Err(GccoError::Parse(format!(
+                "{what} must carry \"{GEOMETRIC}\" or \"{COUNTS}\""
+            )))
+        }
     }
 }
 
 /// Encodes a [`ModelSpec`] as a JSON object.
 pub fn encode_model_spec(spec: &ModelSpec) -> String {
-    let run_dist = match &spec.run_dist {
-        RunDistSpec::Geometric(n) => format!("{{\"geometric\":{n}}}"),
-        RunDistSpec::Counts(counts) => {
-            let mut out = String::from("{\"counts\":[");
-            for (i, c) in counts.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "{c}");
-            }
-            out.push_str("]}");
-            out
-        }
-    };
-    format!(
-        "{{\"dj_pp\":{},\"rj_rms\":{},\"sj_pp\":{},\"sj_freq_norm\":{},\"ckj_rms\":{},\
-         \"cid_max\":{},\"run_dist\":{},\"tap\":{},\"freq_offset\":{},\"edge_model\":{},\
-         \"include_slip\":{},\"gating_tau_ui\":{},\"grid_step\":{}}}",
-        json_f64(spec.dj_pp),
-        json_f64(spec.rj_rms),
-        json_f64(spec.sj_pp),
-        json_f64(spec.sj_freq_norm),
-        json_f64(spec.ckj_rms),
-        spec.cid_max,
-        run_dist,
-        json_string(tap_str(spec.tap)),
-        json_f64(spec.freq_offset),
-        json_string(match spec.edge_model {
-            EdgeModel::ResyncReferenced => "resync_referenced",
-            EdgeModel::IndependentEdges => "independent_edges",
-        }),
-        spec.include_slip,
-        spec.gating_tau_ui.map_or("null".to_string(), json_f64),
-        json_f64(spec.grid_step),
-    )
+    to_json(spec)
 }
 
 /// Parses a [`ModelSpec`] from its JSON object.
@@ -491,199 +839,13 @@ pub fn encode_model_spec(spec: &ModelSpec) -> String {
 ///
 /// [`GccoError::Parse`] on a missing/mistyped field or unknown tag.
 pub fn parse_model_spec(v: &Json) -> Result<ModelSpec, GccoError> {
-    let run_dist_v = v.field("run_dist")?;
-    let run_dist = if let Some(n) = run_dist_v.get("geometric") {
-        RunDistSpec::Geometric(n.as_u64("run_dist.geometric")? as u32)
-    } else if let Some(counts) = run_dist_v.get("counts") {
-        RunDistSpec::Counts(
-            counts
-                .as_arr("run_dist.counts")?
-                .iter()
-                .map(|c| c.as_u64("run_dist.counts"))
-                .collect::<Result<Vec<_>, _>>()?,
-        )
-    } else {
-        return Err(GccoError::Parse(
-            "run_dist must carry \"geometric\" or \"counts\"".to_string(),
-        ));
-    };
-    let tap = parse_tap(v.field("tap")?.as_str("tap")?)?;
-    let edge_model = match v.field("edge_model")?.as_str("edge_model")? {
-        "resync_referenced" => EdgeModel::ResyncReferenced,
-        "independent_edges" => EdgeModel::IndependentEdges,
-        other => return Err(GccoError::Parse(format!("unknown edge_model \"{other}\""))),
-    };
-    let gating_tau_ui = match v.field("gating_tau_ui")? {
-        Json::Null => None,
-        tau => Some(tau.as_f64("gating_tau_ui")?),
-    };
-    Ok(ModelSpec {
-        dj_pp: v.field("dj_pp")?.as_f64("dj_pp")?,
-        rj_rms: v.field("rj_rms")?.as_f64("rj_rms")?,
-        sj_pp: v.field("sj_pp")?.as_f64("sj_pp")?,
-        sj_freq_norm: v.field("sj_freq_norm")?.as_f64("sj_freq_norm")?,
-        ckj_rms: v.field("ckj_rms")?.as_f64("ckj_rms")?,
-        cid_max: v.field("cid_max")?.as_u64("cid_max")? as u32,
-        run_dist,
-        tap,
-        freq_offset: v.field("freq_offset")?.as_f64("freq_offset")?,
-        edge_model,
-        include_slip: v.field("include_slip")?.as_bool("include_slip")?,
-        gating_tau_ui,
-        grid_step: v.field("grid_step")?.as_f64("grid_step")?,
-    })
+    ModelSpec::decode(v, "spec")
 }
-
-// ---------------------------------------------------------------------
-// EvalRequest
-// ---------------------------------------------------------------------
 
 /// Encodes an [`EvalRequest`] as a JSON object (the envelope's
 /// `"request"` payload).
 pub fn encode_request(req: &EvalRequest) -> String {
-    match req {
-        EvalRequest::BerPoint { spec, sj } => {
-            let sj = match sj {
-                None => "null".to_string(),
-                Some(sj) => format!(
-                    "{{\"amplitude_pp\":{},\"freq_norm\":{}}}",
-                    json_f64(sj.amplitude_pp),
-                    json_f64(sj.freq_norm)
-                ),
-            };
-            format!(
-                "{{\"type\":\"ber_point\",\"spec\":{},\"sj\":{}}}",
-                encode_model_spec(spec),
-                sj
-            )
-        }
-        EvalRequest::BerGrid {
-            spec,
-            amps_pp,
-            freqs_norm,
-        } => format!(
-            "{{\"type\":\"ber_grid\",\"spec\":{},\"amps_pp\":{},\"freqs_norm\":{}}}",
-            encode_model_spec(spec),
-            json_f64_list(amps_pp),
-            json_f64_list(freqs_norm)
-        ),
-        EvalRequest::JtolCurve {
-            spec,
-            freqs_norm,
-            target_ber,
-        } => format!(
-            "{{\"type\":\"jtol_curve\",\"spec\":{},\"freqs_norm\":{},\"target_ber\":{}}}",
-            encode_model_spec(spec),
-            json_f64_list(freqs_norm),
-            json_f64(*target_ber)
-        ),
-        EvalRequest::FtolSearch { spec, target_ber } => format!(
-            "{{\"type\":\"ftol_search\",\"spec\":{},\"target_ber\":{}}}",
-            encode_model_spec(spec),
-            json_f64(*target_ber)
-        ),
-        EvalRequest::PowerScan { scan } => format!(
-            "{{\"type\":\"power_scan\",\"scan\":{{\"bit_rate_gbps\":{},\"swing_v\":{},\
-             \"n_stages\":{},\"cid\":{},\"eta\":{},\"sigma_ui_target\":{},\"iss_min_ua\":{},\
-             \"iss_max_ua\":{},\"steps\":{},\"iss_sizing_max_a\":{}}}}}",
-            json_f64(scan.bit_rate_gbps),
-            json_f64(scan.swing_v),
-            scan.n_stages,
-            scan.cid,
-            json_f64(scan.eta),
-            json_f64(scan.sigma_ui_target),
-            json_f64(scan.iss_min_ua),
-            json_f64(scan.iss_max_ua),
-            scan.steps,
-            json_f64(scan.iss_sizing_max_a)
-        ),
-        EvalRequest::DsimRun { run } => format!(
-            "{{\"type\":\"dsim_run\",\"run\":{{\"seed\":{},\"stages\":{},\"stage_delay_ps\":{},\
-             \"jitter_rel\":{},\"duration_ns\":{}}}}}",
-            run.seed,
-            run.stages,
-            json_f64(run.stage_delay_ps),
-            json_f64(run.jitter_rel),
-            json_f64(run.duration_ns)
-        ),
-        EvalRequest::MultiChannel { mc } => format!(
-            "{{\"type\":\"multi_channel\",\"mc\":{{\"channels\":{},\"mismatch_sigma\":{},\
-             \"ripple_rms_ui\":{},\"seed\":{},\"bit_rate_gbps\":{},\"target_ber\":{},\
-             \"spec\":{}}}}}",
-            mc.channels,
-            json_f64(mc.mismatch_sigma),
-            json_f64(mc.ripple_rms_ui),
-            mc.seed,
-            json_f64(mc.bit_rate_gbps),
-            json_f64(mc.target_ber),
-            encode_model_spec(&mc.spec)
-        ),
-        EvalRequest::Optimize { opt } => {
-            let mut taps = String::from("[");
-            for (i, &tap) in opt.taps.iter().enumerate() {
-                if i > 0 {
-                    taps.push(',');
-                }
-                taps.push_str(&json_string(tap_str(tap)));
-            }
-            taps.push(']');
-            let mut cids = String::from("[");
-            for (i, cid) in opt.cids.iter().enumerate() {
-                if i > 0 {
-                    cids.push(',');
-                }
-                let _ = write!(cids, "{cid}");
-            }
-            cids.push(']');
-            format!(
-                "{{\"type\":\"optimize\",\"opt\":{{\"base\":{},\"target_ber\":{},\
-                 \"budget_mw_per_gbps\":{},\"bit_rate_gbps\":{},\"freq_margin\":{},\
-                 \"margin_hi\":{},\"taps\":{},\"cids\":{},\"ckj_lo\":{},\"ckj_hi\":{},\
-                 \"rel_tol\":{},\"seed\":{},\"max_probes\":{}}}}}",
-                encode_model_spec(&opt.base),
-                json_f64(opt.target_ber),
-                json_f64(opt.budget_mw_per_gbps),
-                json_f64(opt.bit_rate_gbps),
-                json_f64(opt.freq_margin),
-                json_f64(opt.margin_hi),
-                taps,
-                cids,
-                json_f64(opt.ckj_lo),
-                json_f64(opt.ckj_hi),
-                json_f64(opt.rel_tol),
-                opt.seed,
-                opt.max_probes
-            )
-        }
-        EvalRequest::Baseline { arch, spec, metric } => {
-            let metric = match metric {
-                BaselineMetric::Track => "{\"kind\":\"track\"}".to_string(),
-                BaselineMetric::CaptureRange { hi } => {
-                    format!("{{\"kind\":\"capture_range\",\"hi\":{}}}", json_f64(*hi))
-                }
-                BaselineMetric::JtolPoint { freq_norm } => format!(
-                    "{{\"kind\":\"jtol_point\",\"freq_norm\":{}}}",
-                    json_f64(*freq_norm)
-                ),
-            };
-            format!(
-                "{{\"type\":\"baseline\",\"arch\":{},\"spec\":{{\"bits\":{},\"seed\":{},\
-                 \"bit_rate_gbps\":{},\"freq_offset\":{},\"kp\":{},\"ki\":{},\"sj_amp_pp\":{},\
-                 \"sj_freq_norm\":{},\"rj_rms_ui\":{}}},\"metric\":{}}}",
-                json_string(arch.wire_name()),
-                spec.bits,
-                spec.seed,
-                json_f64(spec.bit_rate_gbps),
-                json_f64(spec.freq_offset),
-                json_f64(spec.kp),
-                json_f64(spec.ki),
-                json_f64(spec.sj_amp_pp),
-                json_f64(spec.sj_freq_norm),
-                json_f64(spec.rj_rms_ui),
-                metric
-            )
-        }
-    }
+    to_json(req)
 }
 
 /// Parses an [`EvalRequest`] from its JSON object.
@@ -692,308 +854,12 @@ pub fn encode_request(req: &EvalRequest) -> String {
 ///
 /// [`GccoError::Parse`] on malformed input.
 pub fn parse_request(v: &Json) -> Result<EvalRequest, GccoError> {
-    match v.field("type")?.as_str("type")? {
-        "ber_point" => {
-            let sj = match v.field("sj")? {
-                Json::Null => None,
-                sj => Some(SjOverride {
-                    amplitude_pp: sj.field("amplitude_pp")?.as_f64("sj.amplitude_pp")?,
-                    freq_norm: sj.field("freq_norm")?.as_f64("sj.freq_norm")?,
-                }),
-            };
-            Ok(EvalRequest::BerPoint {
-                spec: parse_model_spec(v.field("spec")?)?,
-                sj,
-            })
-        }
-        "ber_grid" => Ok(EvalRequest::BerGrid {
-            spec: parse_model_spec(v.field("spec")?)?,
-            amps_pp: parse_f64_list(v.field("amps_pp")?, "amps_pp")?,
-            freqs_norm: parse_f64_list(v.field("freqs_norm")?, "freqs_norm")?,
-        }),
-        "jtol_curve" => Ok(EvalRequest::JtolCurve {
-            spec: parse_model_spec(v.field("spec")?)?,
-            freqs_norm: parse_f64_list(v.field("freqs_norm")?, "freqs_norm")?,
-            target_ber: v.field("target_ber")?.as_f64("target_ber")?,
-        }),
-        "ftol_search" => Ok(EvalRequest::FtolSearch {
-            spec: parse_model_spec(v.field("spec")?)?,
-            target_ber: v.field("target_ber")?.as_f64("target_ber")?,
-        }),
-        "power_scan" => {
-            let s = v.field("scan")?;
-            Ok(EvalRequest::PowerScan {
-                scan: PowerScanSpec {
-                    bit_rate_gbps: s.field("bit_rate_gbps")?.as_f64("bit_rate_gbps")?,
-                    swing_v: s.field("swing_v")?.as_f64("swing_v")?,
-                    n_stages: s.field("n_stages")?.as_u64("n_stages")? as u32,
-                    cid: s.field("cid")?.as_u64("cid")? as u32,
-                    eta: s.field("eta")?.as_f64("eta")?,
-                    sigma_ui_target: s.field("sigma_ui_target")?.as_f64("sigma_ui_target")?,
-                    iss_min_ua: s.field("iss_min_ua")?.as_f64("iss_min_ua")?,
-                    iss_max_ua: s.field("iss_max_ua")?.as_f64("iss_max_ua")?,
-                    steps: s.field("steps")?.as_u64("steps")? as u32,
-                    iss_sizing_max_a: s.field("iss_sizing_max_a")?.as_f64("iss_sizing_max_a")?,
-                },
-            })
-        }
-        "dsim_run" => {
-            let r = v.field("run")?;
-            Ok(EvalRequest::DsimRun {
-                run: DsimRunSpec {
-                    seed: r.field("seed")?.as_u64("seed")?,
-                    stages: r.field("stages")?.as_u64("stages")? as u32,
-                    stage_delay_ps: r.field("stage_delay_ps")?.as_f64("stage_delay_ps")?,
-                    jitter_rel: r.field("jitter_rel")?.as_f64("jitter_rel")?,
-                    duration_ns: r.field("duration_ns")?.as_f64("duration_ns")?,
-                },
-            })
-        }
-        "multi_channel" => {
-            let m = v.field("mc")?;
-            Ok(EvalRequest::MultiChannel {
-                mc: MultiChannelSpec {
-                    channels: m.field("channels")?.as_u64("channels")? as u32,
-                    mismatch_sigma: m.field("mismatch_sigma")?.as_f64("mismatch_sigma")?,
-                    ripple_rms_ui: m.field("ripple_rms_ui")?.as_f64("ripple_rms_ui")?,
-                    seed: m.field("seed")?.as_u64("seed")?,
-                    bit_rate_gbps: m.field("bit_rate_gbps")?.as_f64("bit_rate_gbps")?,
-                    target_ber: m.field("target_ber")?.as_f64("target_ber")?,
-                    spec: parse_model_spec(m.field("spec")?)?,
-                },
-            })
-        }
-        "optimize" => {
-            let o = v.field("opt")?;
-            let taps = o
-                .field("taps")?
-                .as_arr("taps")?
-                .iter()
-                .map(|t| parse_tap(t.as_str("taps")?))
-                .collect::<Result<Vec<_>, GccoError>>()?;
-            let cids = o
-                .field("cids")?
-                .as_arr("cids")?
-                .iter()
-                .map(|c| c.as_u64("cids").map(|n| n as u32))
-                .collect::<Result<Vec<_>, GccoError>>()?;
-            Ok(EvalRequest::Optimize {
-                opt: OptimizeSpec {
-                    base: parse_model_spec(o.field("base")?)?,
-                    target_ber: o.field("target_ber")?.as_f64("target_ber")?,
-                    budget_mw_per_gbps: o
-                        .field("budget_mw_per_gbps")?
-                        .as_f64("budget_mw_per_gbps")?,
-                    bit_rate_gbps: o.field("bit_rate_gbps")?.as_f64("bit_rate_gbps")?,
-                    freq_margin: o.field("freq_margin")?.as_f64("freq_margin")?,
-                    margin_hi: o.field("margin_hi")?.as_f64("margin_hi")?,
-                    taps,
-                    cids,
-                    ckj_lo: o.field("ckj_lo")?.as_f64("ckj_lo")?,
-                    ckj_hi: o.field("ckj_hi")?.as_f64("ckj_hi")?,
-                    rel_tol: o.field("rel_tol")?.as_f64("rel_tol")?,
-                    seed: o.field("seed")?.as_u64("seed")?,
-                    max_probes: o.field("max_probes")?.as_u64("max_probes")?,
-                },
-            })
-        }
-        "baseline" => {
-            let arch_name = v.field("arch")?.as_str("arch")?;
-            let arch = CdrArchKind::from_wire(arch_name).ok_or_else(|| {
-                GccoError::Parse(format!("unknown baseline arch \"{arch_name}\""))
-            })?;
-            let s = v.field("spec")?;
-            let m = v.field("metric")?;
-            let metric = match m.field("kind")?.as_str("metric.kind")? {
-                "track" => BaselineMetric::Track,
-                "capture_range" => BaselineMetric::CaptureRange {
-                    hi: m.field("hi")?.as_f64("metric.hi")?,
-                },
-                "jtol_point" => BaselineMetric::JtolPoint {
-                    freq_norm: m.field("freq_norm")?.as_f64("metric.freq_norm")?,
-                },
-                other => {
-                    return Err(GccoError::Parse(format!(
-                        "unknown baseline metric \"{other}\""
-                    )))
-                }
-            };
-            Ok(EvalRequest::Baseline {
-                arch,
-                spec: BaselineSpec {
-                    bits: s.field("bits")?.as_u64("bits")? as u32,
-                    seed: s.field("seed")?.as_u64("seed")?,
-                    bit_rate_gbps: s.field("bit_rate_gbps")?.as_f64("bit_rate_gbps")?,
-                    freq_offset: s.field("freq_offset")?.as_f64("freq_offset")?,
-                    kp: s.field("kp")?.as_f64("kp")?,
-                    ki: s.field("ki")?.as_f64("ki")?,
-                    sj_amp_pp: s.field("sj_amp_pp")?.as_f64("sj_amp_pp")?,
-                    sj_freq_norm: s.field("sj_freq_norm")?.as_f64("sj_freq_norm")?,
-                    rj_rms_ui: s.field("rj_rms_ui")?.as_f64("rj_rms_ui")?,
-                },
-                metric,
-            })
-        }
-        other => Err(GccoError::Parse(format!(
-            "unknown request type \"{other}\""
-        ))),
-    }
+    EvalRequest::decode(v, REQUEST)
 }
-
-// ---------------------------------------------------------------------
-// EvalResponse
-// ---------------------------------------------------------------------
 
 /// Encodes an [`EvalResponse`] as a JSON object.
 pub fn encode_response(resp: &EvalResponse) -> String {
-    match resp {
-        EvalResponse::Scalar { value } => {
-            format!("{{\"type\":\"scalar\",\"value\":{}}}", json_f64(*value))
-        }
-        EvalResponse::Grid { rows } => {
-            let mut out = String::from("{\"type\":\"grid\",\"rows\":[");
-            for (i, row) in rows.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&json_f64_list(row));
-            }
-            out.push_str("]}");
-            out
-        }
-        EvalResponse::Jtol { points } => {
-            let mut out = String::from("{\"type\":\"jtol\",\"points\":[");
-            for (i, p) in points.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let _ = write!(
-                    out,
-                    "{{\"freq_norm\":{},\"amplitude_pp\":{},\"censored\":{}}}",
-                    json_f64(p.freq_norm),
-                    json_f64(p.amplitude_pp),
-                    p.censored
-                );
-            }
-            out.push_str("]}");
-            out
-        }
-        EvalResponse::Ftol { value } => {
-            format!("{{\"type\":\"ftol\",\"value\":{}}}", json_f64(*value))
-        }
-        EvalResponse::Power { sized, points } => {
-            let sized = match sized {
-                None => "null".to_string(),
-                Some(c) => format!(
-                    "{{\"iss_a\":{},\"swing_v\":{},\"delay_fs\":{}}}",
-                    json_f64(c.iss_a),
-                    json_f64(c.swing_v),
-                    c.delay_fs
-                ),
-            };
-            let mut out = format!("{{\"type\":\"power\",\"sized\":{sized},\"points\":[");
-            for (i, p) in points.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let _ = write!(
-                    out,
-                    "{{\"iss_a\":{},\"ring_power_mw\":{},\"sigma_ui\":{}}}",
-                    json_f64(p.iss_a),
-                    json_f64(p.ring_power_mw),
-                    json_f64(p.sigma_ui)
-                );
-            }
-            out.push_str("]}");
-            out
-        }
-        EvalResponse::Dsim { run } => format!(
-            "{{\"type\":\"dsim\",\"run\":{{\"period_ps_mean\":{},\"period_ps_rms\":{},\
-             \"rising_edges\":{},\"events\":{}}}}}",
-            json_f64(run.period_ps_mean),
-            json_f64(run.period_ps_rms),
-            run.rising_edges,
-            run.events
-        ),
-        EvalResponse::MultiChannel {
-            channels,
-            worst_ber,
-            yield_pct,
-            mw_per_gbps,
-            within_budget,
-        } => {
-            let mut out = String::from("{\"type\":\"multi_channel\",\"channels\":[");
-            for (i, c) in channels.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let _ = write!(
-                    out,
-                    "{{\"index\":{},\"freq_offset\":{},\"ber\":{},\"settling_ui\":{}}}",
-                    c.index,
-                    json_f64(c.freq_offset),
-                    json_f64(c.ber),
-                    json_f64(c.settling_ui)
-                );
-            }
-            let _ = write!(
-                out,
-                "],\"worst_ber\":{},\"yield_pct\":{},\"mw_per_gbps\":{},\"within_budget\":{}}}",
-                json_f64(*worst_ber),
-                json_f64(*yield_pct),
-                mw_per_gbps.map_or("null".to_string(), json_f64),
-                within_budget
-            );
-            out
-        }
-        EvalResponse::Optimize { out } => {
-            let best = match &out.best {
-                None => "null".to_string(),
-                Some(b) => format!(
-                    "{{\"spec\":{},\"mw_per_gbps\":{},\"worst_ber\":{},\"margin\":{},\
-                     \"settling_ui\":{}}}",
-                    encode_model_spec(&b.spec),
-                    json_f64(b.mw_per_gbps),
-                    json_f64(b.worst_ber),
-                    json_f64(b.margin),
-                    json_f64(b.settling_ui)
-                ),
-            };
-            let mut s = format!("{{\"type\":\"optimize\",\"best\":{best},\"per_combo\":[");
-            for (i, c) in out.per_combo.iter().enumerate() {
-                if i > 0 {
-                    s.push(',');
-                }
-                let _ = write!(
-                    s,
-                    "{{\"tap\":{},\"cid_max\":{},\"ckj_rms\":{},\"mw_per_gbps\":{},\
-                     \"worst_ber\":{},\"probes\":{}}}",
-                    json_string(tap_str(c.tap)),
-                    c.cid_max,
-                    c.ckj_rms.map_or("null".to_string(), json_f64),
-                    c.mw_per_gbps.map_or("null".to_string(), json_f64),
-                    c.worst_ber.map_or("null".to_string(), json_f64),
-                    c.probes
-                );
-            }
-            let _ = write!(
-                s,
-                "],\"probes\":{},\"store_hits\":{},\"converged\":{}}}",
-                out.probes, out.store_hits, out.converged
-            );
-            s
-        }
-        EvalResponse::Baseline { out } => format!(
-            "{{\"type\":\"baseline\",\"out\":{{\"lock_bits\":{},\"errors\":{},\"updates\":{},\
-             \"residual_rms_ui\":{},\"capture_range\":{},\"jtol_amp_pp\":{}}}}}",
-            out.lock_bits.map_or("null".to_string(), |b| b.to_string()),
-            out.errors,
-            out.updates,
-            out.residual_rms_ui.map_or("null".to_string(), json_f64),
-            out.capture_range.map_or("null".to_string(), json_f64),
-            out.jtol_amp_pp.map_or("null".to_string(), json_f64)
-        ),
-    }
+    to_json(resp)
 }
 
 /// Parses an [`EvalResponse`] from its JSON object.
@@ -1002,161 +868,7 @@ pub fn encode_response(resp: &EvalResponse) -> String {
 ///
 /// [`GccoError::Parse`] on malformed input.
 pub fn parse_response(v: &Json) -> Result<EvalResponse, GccoError> {
-    match v.field("type")?.as_str("type")? {
-        "scalar" => Ok(EvalResponse::Scalar {
-            value: v.field("value")?.as_f64("value")?,
-        }),
-        "grid" => Ok(EvalResponse::Grid {
-            rows: v
-                .field("rows")?
-                .as_arr("rows")?
-                .iter()
-                .map(|row| parse_f64_list(row, "rows"))
-                .collect::<Result<Vec<_>, _>>()?,
-        }),
-        "jtol" => Ok(EvalResponse::Jtol {
-            points: v
-                .field("points")?
-                .as_arr("points")?
-                .iter()
-                .map(|p| {
-                    Ok(JtolPointOut {
-                        freq_norm: p.field("freq_norm")?.as_f64("freq_norm")?,
-                        amplitude_pp: p.field("amplitude_pp")?.as_f64("amplitude_pp")?,
-                        censored: p.field("censored")?.as_bool("censored")?,
-                    })
-                })
-                .collect::<Result<Vec<_>, GccoError>>()?,
-        }),
-        "ftol" => Ok(EvalResponse::Ftol {
-            value: v.field("value")?.as_f64("value")?,
-        }),
-        "power" => {
-            let sized = match v.field("sized")? {
-                Json::Null => None,
-                c => Some(SizedCellOut {
-                    iss_a: c.field("iss_a")?.as_f64("sized.iss_a")?,
-                    swing_v: c.field("swing_v")?.as_f64("sized.swing_v")?,
-                    delay_fs: c.field("delay_fs")?.as_i64("sized.delay_fs")?,
-                }),
-            };
-            Ok(EvalResponse::Power {
-                sized,
-                points: v
-                    .field("points")?
-                    .as_arr("points")?
-                    .iter()
-                    .map(|p| {
-                        Ok(PowerPointOut {
-                            iss_a: p.field("iss_a")?.as_f64("iss_a")?,
-                            ring_power_mw: p.field("ring_power_mw")?.as_f64("ring_power_mw")?,
-                            sigma_ui: p.field("sigma_ui")?.as_f64("sigma_ui")?,
-                        })
-                    })
-                    .collect::<Result<Vec<_>, GccoError>>()?,
-            })
-        }
-        "dsim" => {
-            let r = v.field("run")?;
-            Ok(EvalResponse::Dsim {
-                run: DsimRunOut {
-                    period_ps_mean: r.field("period_ps_mean")?.as_f64("period_ps_mean")?,
-                    period_ps_rms: r.field("period_ps_rms")?.as_f64("period_ps_rms")?,
-                    rising_edges: r.field("rising_edges")?.as_u64("rising_edges")?,
-                    events: r.field("events")?.as_u64("events")?,
-                },
-            })
-        }
-        "multi_channel" => Ok(EvalResponse::MultiChannel {
-            channels: v
-                .field("channels")?
-                .as_arr("channels")?
-                .iter()
-                .map(|c| {
-                    Ok(ChannelOut {
-                        index: c.field("index")?.as_u64("index")? as u32,
-                        freq_offset: c.field("freq_offset")?.as_f64("freq_offset")?,
-                        ber: c.field("ber")?.as_f64("ber")?,
-                        settling_ui: c.field("settling_ui")?.as_f64("settling_ui")?,
-                    })
-                })
-                .collect::<Result<Vec<_>, GccoError>>()?,
-            worst_ber: v.field("worst_ber")?.as_f64("worst_ber")?,
-            yield_pct: v.field("yield_pct")?.as_f64("yield_pct")?,
-            mw_per_gbps: match v.field("mw_per_gbps")? {
-                Json::Null => None,
-                m => Some(m.as_f64("mw_per_gbps")?),
-            },
-            within_budget: v.field("within_budget")?.as_bool("within_budget")?,
-        }),
-        "optimize" => {
-            let best = match v.field("best")? {
-                Json::Null => None,
-                b => Some(BestDesignOut {
-                    spec: parse_model_spec(b.field("spec")?)?,
-                    mw_per_gbps: b.field("mw_per_gbps")?.as_f64("best.mw_per_gbps")?,
-                    worst_ber: b.field("worst_ber")?.as_f64("best.worst_ber")?,
-                    margin: b.field("margin")?.as_f64("best.margin")?,
-                    settling_ui: b.field("settling_ui")?.as_f64("best.settling_ui")?,
-                }),
-            };
-            let per_combo = v
-                .field("per_combo")?
-                .as_arr("per_combo")?
-                .iter()
-                .map(|c| {
-                    let opt_f64 = |name: &str| -> Result<Option<f64>, GccoError> {
-                        match c.field(name)? {
-                            Json::Null => Ok(None),
-                            x => Ok(Some(x.as_f64(name)?)),
-                        }
-                    };
-                    Ok(ComboReportOut {
-                        tap: parse_tap(c.field("tap")?.as_str("per_combo.tap")?)?,
-                        cid_max: c.field("cid_max")?.as_u64("cid_max")? as u32,
-                        ckj_rms: opt_f64("ckj_rms")?,
-                        mw_per_gbps: opt_f64("mw_per_gbps")?,
-                        worst_ber: opt_f64("worst_ber")?,
-                        probes: c.field("probes")?.as_u64("probes")?,
-                    })
-                })
-                .collect::<Result<Vec<_>, GccoError>>()?;
-            Ok(EvalResponse::Optimize {
-                out: OptimizeOut {
-                    best,
-                    per_combo,
-                    probes: v.field("probes")?.as_u64("probes")?,
-                    store_hits: v.field("store_hits")?.as_u64("store_hits")?,
-                    converged: v.field("converged")?.as_bool("converged")?,
-                },
-            })
-        }
-        "baseline" => {
-            let o = v.field("out")?;
-            let opt_f64 = |name: &str| -> Result<Option<f64>, GccoError> {
-                match o.field(name)? {
-                    Json::Null => Ok(None),
-                    x => Ok(Some(x.as_f64(name)?)),
-                }
-            };
-            Ok(EvalResponse::Baseline {
-                out: BaselineOut {
-                    lock_bits: match o.field("lock_bits")? {
-                        Json::Null => None,
-                        b => Some(b.as_u64("lock_bits")?),
-                    },
-                    errors: o.field("errors")?.as_u64("errors")?,
-                    updates: o.field("updates")?.as_u64("updates")?,
-                    residual_rms_ui: opt_f64("residual_rms_ui")?,
-                    capture_range: opt_f64("capture_range")?,
-                    jtol_amp_pp: opt_f64("jtol_amp_pp")?,
-                },
-            })
-        }
-        other => Err(GccoError::Parse(format!(
-            "unknown response type \"{other}\""
-        ))),
-    }
+    EvalResponse::decode(v, "response")
 }
 
 // ---------------------------------------------------------------------
@@ -1188,30 +900,43 @@ pub enum ClientLine {
     Command(String),
 }
 
-fn parse_envelope(v: &Json) -> Result<Envelope, GccoError> {
-    let version = match v.get("v") {
-        None | Some(Json::Null) => None,
-        Some(x) => Some(x.as_u64("v")?),
-    };
-    // Version gate before touching the payload: a request from another
-    // protocol generation should fail with a structured version error,
-    // not a field-level parse error inside a request shape this build
-    // has never heard of. An absent field is the retired v1 format.
-    if version != Some(PROTOCOL_VERSION) {
-        return Err(GccoError::UnsupportedVersion {
-            v: version.unwrap_or(1),
-        });
+/// `"v"` is omitted when `None` (a shape the parse gate rejects, kept
+/// encodable for tests and version probes) while `"deadline_ms"` is
+/// written as `null`; decoding gates on the version before it touches
+/// the payload.
+impl Wire for Envelope {
+    fn encode(&self, buf: &mut String) {
+        buf.push('{');
+        key(buf, ID);
+        self.id.encode(buf);
+        if let Some(v) = self.v {
+            key(buf, V);
+            v.encode(buf);
+        }
+        key(buf, DEADLINE_MS);
+        self.deadline_ms.encode(buf);
+        key(buf, REQUEST);
+        self.request.encode(buf);
+        buf.push('}');
     }
-    let deadline_ms = match v.get("deadline_ms") {
-        None | Some(Json::Null) => None,
-        Some(d) => Some(d.as_u64("deadline_ms")?),
-    };
-    Ok(Envelope {
-        id: v.field("id")?.as_u64("id")?,
-        v: version,
-        deadline_ms,
-        request: parse_request(v.field("request")?)?,
-    })
+    fn decode(v: &Json, _: &str) -> Result<Envelope, GccoError> {
+        let version = optional(v, V)?;
+        // Version gate before touching the payload: a request from another
+        // protocol generation should fail with a structured version error,
+        // not a field-level parse error inside a request shape this build
+        // has never heard of. An absent field is the retired v1 format.
+        if version != Some(PROTOCOL_VERSION) {
+            return Err(GccoError::UnsupportedVersion {
+                v: version.unwrap_or(1),
+            });
+        }
+        Ok(Envelope {
+            id: field(v, ID)?,
+            v: version,
+            deadline_ms: optional(v, DEADLINE_MS)?,
+            request: field(v, REQUEST)?,
+        })
+    }
 }
 
 /// Rejects a batch whose envelopes reuse a request id: ids are the only
@@ -1241,49 +966,33 @@ pub fn parse_client_line(line: &str) -> Result<ClientLine, GccoError> {
     if let Some(cmd) = v.get("cmd") {
         return Ok(ClientLine::Command(cmd.as_str("cmd")?.to_string()));
     }
-    if let Some(batch) = v.get("batch") {
-        let envelopes = batch
-            .as_arr("batch")?
-            .iter()
-            .map(parse_envelope)
-            .collect::<Result<Vec<_>, _>>()?;
+    if let Some(batch) = v.get(BATCH) {
+        let envelopes: Vec<Envelope> = Wire::decode(batch, BATCH)?;
         if envelopes.is_empty() {
             return Err(GccoError::Parse("empty batch".to_string()));
         }
         check_unique_ids(&envelopes)?;
         return Ok(ClientLine::Requests(envelopes));
     }
-    Ok(ClientLine::Requests(vec![parse_envelope(&v)?]))
+    Ok(ClientLine::Requests(vec![Envelope::decode(
+        &v, "envelope",
+    )?]))
 }
 
 /// Encodes an [`Envelope`] as one client line (no trailing newline).
 /// A `v: None` envelope is emitted without a `"v"` field — a shape the
 /// parse gate rejects, kept encodable for tests and version probes.
 pub fn encode_envelope(env: &Envelope) -> String {
-    let deadline = env
-        .deadline_ms
-        .map_or("null".to_string(), |d| d.to_string());
-    let version = env.v.map_or(String::new(), |v| format!("\"v\":{v},"));
-    format!(
-        "{{\"id\":{},{}\"deadline_ms\":{},\"request\":{}}}",
-        env.id,
-        version,
-        deadline,
-        encode_request(&env.request)
-    )
+    to_json(env)
 }
 
 /// Encodes a batch of envelopes as one client line (no trailing newline).
 pub fn encode_batch(envs: &[Envelope]) -> String {
-    let mut out = String::from("{\"batch\":[");
-    for (i, env) in envs.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&encode_envelope(env));
-    }
-    out.push_str("]}");
-    out
+    let mut buf = String::from("{");
+    key(&mut buf, BATCH);
+    push_list(&mut buf, envs);
+    buf.push('}');
+    buf
 }
 
 /// Encodes one response line for the given request id (no trailing
@@ -1301,16 +1010,9 @@ pub fn encode_result_line_with_note(
     note: Option<&str>,
     result: &Result<EvalResponse, GccoError>,
 ) -> String {
-    let note = note.map_or(String::new(), |n| format!("\"note\":{},", json_string(n)));
     match result {
-        Ok(resp) => format!("{{\"id\":{},{}\"ok\":{}}}", id, note, encode_response(resp)),
-        Err(e) => format!(
-            "{{\"id\":{},{}\"err\":{{\"kind\":{},\"detail\":{}}}}}",
-            id,
-            note,
-            json_string(e.kind()),
-            json_string(&e.detail())
-        ),
+        Ok(resp) => write_result_line(id, note, Ok(resp)),
+        Err(e) => write_result_line(id, note, Err((e.kind(), &e.detail()))),
     }
 }
 
@@ -1323,25 +1025,47 @@ pub fn encode_result_line_with_note(
 /// byte, keeping cluster results comparable to a single-server run with
 /// `==` on the raw wire text.
 pub fn encode_parsed_result_line(line: &ResultLine) -> String {
-    let note = line
-        .note
-        .as_deref()
-        .map_or(String::new(), |n| format!("\"note\":{},", json_string(n)));
-    match &line.result {
-        Ok(resp) => format!(
-            "{{\"id\":{},{}\"ok\":{}}}",
-            line.id,
-            note,
-            encode_response(resp)
-        ),
-        Err((kind, detail)) => format!(
-            "{{\"id\":{},{}\"err\":{{\"kind\":{},\"detail\":{}}}}}",
-            line.id,
-            note,
-            json_string(kind),
-            json_string(detail)
-        ),
+    let result = match &line.result {
+        Ok(resp) => Ok(resp),
+        Err((kind, detail)) => Err((kind.as_str(), detail.as_str())),
+    };
+    write_result_line(line.id, line.note.as_deref(), result)
+}
+
+/// The one writer behind every response line.
+fn write_result_line(
+    id: u64,
+    note: Option<&str>,
+    result: Result<&EvalResponse, (&str, &str)>,
+) -> String {
+    let mut buf = String::with_capacity(128);
+    buf.push('{');
+    key(&mut buf, ID);
+    id.encode(&mut buf);
+    if let Some(note) = note {
+        key(&mut buf, NOTE);
+        push_json_string(&mut buf, note);
     }
+    match result {
+        Ok(resp) => {
+            key(&mut buf, OK);
+            resp.encode(&mut buf);
+        }
+        Err((kind, detail)) => write_err(&mut buf, kind, detail),
+    }
+    buf.push('}');
+    buf
+}
+
+/// Writes the `"err":{"kind":...,"detail":...}` member.
+fn write_err(buf: &mut String, kind: &str, detail: &str) {
+    key(buf, ERR);
+    buf.push('{');
+    key(buf, KIND);
+    push_json_string(buf, kind);
+    key(buf, DETAIL);
+    push_json_string(buf, detail);
+    buf.push('}');
 }
 
 /// Encodes an **id-less** error line (no trailing newline):
@@ -1351,11 +1075,10 @@ pub fn encode_parsed_result_line(line: &ResultLine) -> String {
 /// mistaken for the response to a legitimate request (every envelope
 /// response carries an `"id"` field; this line has none).
 pub fn encode_error_line(e: &GccoError) -> String {
-    format!(
-        "{{\"err\":{{\"kind\":{},\"detail\":{}}}}}",
-        json_string(e.kind()),
-        json_string(&e.detail())
-    )
+    let mut buf = String::from("{");
+    write_err(&mut buf, e.kind(), &e.detail());
+    buf.push('}');
+    buf
 }
 
 /// A response line parsed from the wire, error side kept as
@@ -1378,27 +1101,16 @@ pub struct ResultLine {
 /// [`GccoError::Parse`] on malformed input.
 pub fn parse_result_line(line: &str) -> Result<ResultLine, GccoError> {
     let v = Json::parse(line)?;
-    let id = v.field("id")?.as_u64("id")?;
-    let note = match v.get("note") {
-        None | Some(Json::Null) => None,
-        Some(n) => Some(n.as_str("note")?.to_string()),
+    let id = field(&v, ID)?;
+    let note = optional(&v, NOTE)?;
+    let result = match v.get(OK) {
+        Some(ok) => Ok(EvalResponse::decode(ok, "response")?),
+        None => {
+            let err = v.field(ERR)?;
+            Err((field(err, KIND)?, field(err, DETAIL)?))
+        }
     };
-    if let Some(ok) = v.get("ok") {
-        return Ok(ResultLine {
-            id,
-            note,
-            result: Ok(parse_response(ok)?),
-        });
-    }
-    let err = v.field("err")?;
-    Ok(ResultLine {
-        id,
-        note,
-        result: Err((
-            err.field("kind")?.as_str("kind")?.to_string(),
-            err.field("detail")?.as_str("detail")?.to_string(),
-        )),
-    })
+    Ok(ResultLine { id, note, result })
 }
 
 #[cfg(test)]
@@ -1439,6 +1151,57 @@ mod tests {
             "{\"a\" 1}",
         ] {
             assert!(Json::parse(bad).is_err(), "{bad:?} must fail");
+        }
+    }
+
+    #[test]
+    fn nesting_is_capped_with_a_parse_error() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nested(MAX_DEPTH + 1)).expect_err("too deep");
+        assert_eq!(err.kind(), "parse_error");
+        assert!(err.detail().contains("nesting"), "{err:?}");
+        // Deep enough to overflow a recursive parser's stack: still just
+        // a parse error, on a client line as on a bare value.
+        let hostile = format!("{{\"batch\":{}", "[".repeat(20_000));
+        assert_eq!(
+            parse_client_line(&hostile).expect_err("too deep").kind(),
+            "parse_error"
+        );
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        let body = "é".repeat(512 * 1024);
+        let line = format!("{{\"cmd\":\"{body}\"}}");
+        assert!(line.len() > 1 << 20);
+        let start = std::time::Instant::now();
+        let parsed = parse_client_line(&line).expect("parses");
+        let took = start.elapsed();
+        assert_eq!(parsed, ClientLine::Command(body));
+        assert!(took < std::time::Duration::from_secs(2), "took {took:?}");
+    }
+
+    #[test]
+    fn integers_decode_exactly_or_not_at_all() {
+        // Digit literals are exact across the whole u64 range.
+        for n in [0, (1 << 53) + 1, u64::MAX] {
+            assert_eq!(Json::parse(&n.to_string()).unwrap().as_u64("n"), Ok(n));
+        }
+        // Float spellings of small integers still count.
+        for text in ["5.0", "5e0", "0.5e1"] {
+            assert_eq!(Json::parse(text).unwrap().as_u64("n"), Ok(5), "{text}");
+        }
+        // A u32 field out of range is a parse error naming the field, not
+        // a silent truncation (4294967301 would wrap to 5).
+        let spec = encode_model_spec(&ModelSpec::paper_table1())
+            .replace("\"cid_max\":5", "\"cid_max\":4294967301");
+        let err = parse_model_spec(&Json::parse(&spec).unwrap()).expect_err("out of range");
+        assert_eq!(err.kind(), "parse_error");
+        assert!(err.detail().contains("cid_max"), "{err:?}");
+        // Past u64, and negative, are rejected too.
+        for text in ["18446744073709551616", "-1", "5.5"] {
+            assert!(Json::parse(text).unwrap().as_u64("n").is_err(), "{text}");
         }
     }
 

@@ -358,74 +358,22 @@ pub enum EvalRequest {
     },
 }
 
-/// The variant-independent facets of an [`EvalRequest`], resolved by one
-/// per-variant table ([`EvalRequest::parts`]) instead of a match arm per
-/// accessor. Adding a request kind means adding one row here; `kind()`,
-/// `model_spec()`, `cache_key()`, and `validate()` all read from it.
-#[derive(Clone, Copy, Debug)]
-pub struct RequestParts<'a> {
-    /// Short lowercase tag naming the variant (the wire `type` field).
-    pub kind: &'static str,
-    /// The model spec the request evaluates, when it has one.
-    pub model_spec: Option<&'a ModelSpec>,
-}
-
 impl EvalRequest {
-    /// The single variant table: every accessor that used to duplicate a
-    /// six-way match (`kind`, `model_spec`, the shared prefix of
-    /// `cache_key`, the spec check of `validate`) reads from this one
-    /// place.
-    pub fn parts(&self) -> RequestParts<'_> {
-        match self {
-            EvalRequest::BerPoint { spec, .. } => RequestParts {
-                kind: "ber_point",
-                model_spec: Some(spec),
-            },
-            EvalRequest::BerGrid { spec, .. } => RequestParts {
-                kind: "ber_grid",
-                model_spec: Some(spec),
-            },
-            EvalRequest::JtolCurve { spec, .. } => RequestParts {
-                kind: "jtol_curve",
-                model_spec: Some(spec),
-            },
-            EvalRequest::FtolSearch { spec, .. } => RequestParts {
-                kind: "ftol_search",
-                model_spec: Some(spec),
-            },
-            EvalRequest::PowerScan { .. } => RequestParts {
-                kind: "power_scan",
-                model_spec: None,
-            },
-            EvalRequest::DsimRun { .. } => RequestParts {
-                kind: "dsim_run",
-                model_spec: None,
-            },
-            EvalRequest::MultiChannel { mc } => RequestParts {
-                kind: "multi_channel",
-                model_spec: Some(&mc.spec),
-            },
-            EvalRequest::Optimize { opt } => RequestParts {
-                kind: "optimize",
-                model_spec: Some(&opt.base),
-            },
-            EvalRequest::Baseline { .. } => RequestParts {
-                kind: "baseline",
-                model_spec: None,
-            },
-        }
-    }
-
-    /// Short lowercase tag naming the variant (the wire `type` field).
-    pub fn kind(&self) -> &'static str {
-        self.parts().kind
-    }
-
     /// The model spec the request evaluates, when it has one (for
     /// [`EvalRequest::MultiChannel`], the *base* spec the lanes derive
     /// from).
     pub fn model_spec(&self) -> Option<&ModelSpec> {
-        self.parts().model_spec
+        match self {
+            EvalRequest::BerPoint { spec, .. }
+            | EvalRequest::BerGrid { spec, .. }
+            | EvalRequest::JtolCurve { spec, .. }
+            | EvalRequest::FtolSearch { spec, .. } => Some(spec),
+            EvalRequest::MultiChannel { mc } => Some(&mc.spec),
+            EvalRequest::Optimize { opt } => Some(&opt.base),
+            EvalRequest::PowerScan { .. }
+            | EvalRequest::DsimRun { .. }
+            | EvalRequest::Baseline { .. } => None,
+        }
     }
 
     /// A single-point BER request with the spec's own sinusoidal jitter.
@@ -518,10 +466,9 @@ impl EvalRequest {
                 let _ = write!(key, "{:016x}", v.to_bits());
             }
         }
-        let parts = self.parts();
         let mut key = String::with_capacity(256);
-        key.push_str(parts.kind);
-        if let Some(spec) = parts.model_spec {
+        key.push_str(self.kind());
+        if let Some(spec) = self.model_spec() {
             key.push('|');
             key.push_str(&spec.cache_key());
         }
@@ -683,11 +630,10 @@ impl EvalRequest {
             }
             Ok(())
         }
-        // The spec check is variant-independent: one table lookup instead
-        // of a `spec.validate()?` line repeated per arm. (For
-        // `MultiChannel` the base spec is checked here and the derived
-        // lanes below.)
-        if let Some(spec) = self.parts().model_spec {
+        // The spec check is variant-independent: one lookup instead of a
+        // `spec.validate()?` line repeated per arm. (For `MultiChannel` the
+        // base spec is checked here and the derived lanes below.)
+        if let Some(spec) = self.model_spec() {
             spec.validate()?;
         }
         match self {
@@ -734,8 +680,8 @@ impl EvalRequest {
             EvalRequest::PowerScan { scan } => scan.validate(),
             EvalRequest::DsimRun { run } => run.validate(),
             EvalRequest::MultiChannel { mc } => mc.validate(),
-            // `opt.validate()` re-checks the base spec the table lookup
-            // above already covered; harmless, and it keeps OptimizeSpec
+            // `opt.validate()` re-checks the base spec the lookup above
+            // already covered; harmless, and it keeps OptimizeSpec
             // self-contained for non-request callers.
             EvalRequest::Optimize { opt } => opt.validate(),
             EvalRequest::Baseline { spec, metric, .. } => {
@@ -890,23 +836,6 @@ pub enum EvalResponse {
         /// The measured trace summary and bisected metric value.
         out: BaselineOut,
     },
-}
-
-impl EvalResponse {
-    /// Short lowercase tag naming the variant (the wire `type` field).
-    pub fn kind(&self) -> &'static str {
-        match self {
-            EvalResponse::Scalar { .. } => "scalar",
-            EvalResponse::Grid { .. } => "grid",
-            EvalResponse::Jtol { .. } => "jtol",
-            EvalResponse::Ftol { .. } => "ftol",
-            EvalResponse::Power { .. } => "power",
-            EvalResponse::Dsim { .. } => "dsim",
-            EvalResponse::MultiChannel { .. } => "multi_channel",
-            EvalResponse::Optimize { .. } => "optimize",
-            EvalResponse::Baseline { .. } => "baseline",
-        }
-    }
 }
 
 #[cfg(test)]

@@ -154,7 +154,7 @@ impl Lcg {
             },
             5 => EvalRequest::DsimRun {
                 run: DsimRunSpec {
-                    seed: self.below(1 << 53),
+                    seed: self.next(),
                     stages: 2 * (1 + self.below(4) as u32),
                     stage_delay_ps: self.f64().abs() + 1.0,
                     jitter_rel: (self.f64().abs() * 1e-3).min(0.29),
@@ -178,7 +178,7 @@ impl Lcg {
                     ckj_lo: 1e-3 + self.f64().abs().min(1e-3),
                     ckj_hi: 0.01 + self.f64().abs().min(0.04),
                     rel_tol: 0.01 + self.f64().abs().min(0.5),
-                    seed: self.below(1 << 53),
+                    seed: self.next(),
                     max_probes: 2 + self.below(1000),
                 },
             },
@@ -187,7 +187,7 @@ impl Lcg {
                     channels: 1 + self.below(16) as u32,
                     mismatch_sigma: self.f64().abs().min(0.09),
                     ripple_rms_ui: self.f64().abs().min(0.4),
-                    seed: self.below(1 << 53),
+                    seed: self.next(),
                     bit_rate_gbps: self.f64().abs() + 0.1,
                     target_ber: 10f64.powi(-(1 + self.below(14) as i32)),
                     spec: self.spec(),
@@ -197,7 +197,7 @@ impl Lcg {
                 arch: self.arch(),
                 spec: BaselineSpec {
                     bits: 1000 + self.below(100_000) as u32,
-                    seed: self.below(1 << 53),
+                    seed: self.next(),
                     bit_rate_gbps: self.f64().abs() + 0.1,
                     freq_offset: (self.f64() * 1e-2).clamp(-0.2, 0.2),
                     kp: (self.f64().abs() + 1e-4).min(0.5),
@@ -387,7 +387,7 @@ fn envelopes_batches_and_result_lines_round_trip() {
     for case in 0..50 {
         let envs: Vec<Envelope> = (0..1 + rng.below(4))
             .map(|_| Envelope {
-                id: rng.below(1 << 53),
+                id: rng.next(),
                 // The version gate accepts only the current protocol, so
                 // the round-trip space is v:2 envelopes.
                 v: Some(PROTOCOL_VERSION),

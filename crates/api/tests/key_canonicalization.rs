@@ -117,6 +117,7 @@ fn emit_sci(v: &Json) -> String {
             // yields e.g. `4e-1`, which JSON accepts.
             format!("{x:e}")
         }
+        Json::Int(n) => format!("{n:e}"),
         Json::Str(s) => format!("{s:?}"),
         Json::Arr(items) => {
             let inner: Vec<String> = items.iter().map(emit_sci).collect();

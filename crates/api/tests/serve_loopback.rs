@@ -206,6 +206,33 @@ fn overflow_gets_queue_full_and_malformed_lines_get_parse_errors() {
 }
 
 #[test]
+fn over_deep_lines_get_parse_errors_and_the_server_keeps_answering() {
+    let handle = serve(&ServeConfig::default(), Engine::new()).expect("bind loopback");
+    let addr = handle.local_addr();
+    // Deep enough to overflow a recursive parser's stack in a worker
+    // thread; the depth cap turns it into an ordinary id-less error.
+    let hostile = format!("{{\"batch\":{}", "[".repeat(20_000));
+    let reply = client_roundtrip(&addr, &hostile, 1, TIMEOUT).expect("answered");
+    assert!(reply[0].starts_with("{\"err\":"), "{}", reply[0]);
+    assert!(
+        reply[0].contains("\"kind\":\"parse_error\""),
+        "{}",
+        reply[0]
+    );
+    assert!(!reply[0].contains("\"id\""), "{}", reply[0]);
+
+    let env = Envelope {
+        id: 1,
+        v: Some(PROTOCOL_VERSION),
+        deadline_ms: None,
+        request: EvalRequest::ber_point(ModelSpec::paper_table1()),
+    };
+    let results = submit_batch(&addr, &[env], TIMEOUT).expect("still serving");
+    assert!(results[0].result.is_ok(), "{:?}", results[0]);
+    handle.shutdown();
+}
+
+#[test]
 fn duplicate_batch_ids_are_rejected_before_any_evaluation() {
     let handle = serve(&ServeConfig::default(), Engine::new()).expect("bind loopback");
     let addr = handle.local_addr();

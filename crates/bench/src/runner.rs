@@ -6,6 +6,7 @@
 //! engine the statistical sweeps use — so experiment fan-out obeys the same
 //! `GCCO_WORKERS` override and deterministic-ordering contract.
 
+use gcco_api::json::json_string;
 use std::path::Path;
 use std::process::Command;
 use std::time::Instant;
@@ -190,23 +191,6 @@ impl BenchReport {
     }
 }
 
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 fn json_number(x: f64) -> String {
     if x.is_finite() {
         format!("{x:.3}")
@@ -327,6 +311,7 @@ mod tests {
         assert!(json.contains("\"bench_demo_total\": 3.000"));
     }
 
+    /// The report escapes names through the wire codec's `json_string`.
     #[test]
     fn json_strings_are_escaped() {
         assert_eq!(json_string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");

@@ -323,6 +323,31 @@ fn all_backends_dead_answers_every_envelope_with_a_structured_error() {
 }
 
 #[test]
+fn over_deep_lines_get_parse_errors_through_the_router() {
+    let a = backend();
+    let router = router_over(vec![a.local_addr()]);
+    let addr = router.local_addr();
+    let hostile = format!("{{\"batch\":{}", "[".repeat(20_000));
+    let reply = client_roundtrip(&addr, &hostile, 1, TIMEOUT).expect("answered");
+    assert!(reply[0].starts_with("{\"err\":"), "{}", reply[0]);
+    assert!(
+        reply[0].contains("\"kind\":\"parse_error\""),
+        "{}",
+        reply[0]
+    );
+    assert!(!reply[0].contains("\"id\""), "{}", reply[0]);
+    // The router still routes.
+    let batch = [envelope(
+        1,
+        EvalRequest::ber_point(ModelSpec::paper_table1()),
+    )];
+    let lines = client_roundtrip(&addr, &encode_batch(&batch), 1, TIMEOUT).expect("answered");
+    assert!(lines[0].starts_with("{\"id\":1,\"ok\":"), "{}", lines[0]);
+    router.shutdown();
+    a.shutdown();
+}
+
+#[test]
 fn router_speaks_the_serve_command_protocol() {
     let a = backend();
     let router = router_over(vec![a.local_addr()]);
