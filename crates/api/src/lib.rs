@@ -19,7 +19,9 @@
 //!   offline with no serialization dependency) with exact float
 //!   round-tripping;
 //! * [`serve`] — the `gcco-serve` TCP service: batch submission, bounded
-//!   queue with backpressure, request timeouts, graceful drain.
+//!   queue with backpressure, request timeouts, graceful drain;
+//! * [`listen`] — the blocking accept loop, per-connection line I/O and
+//!   shutdown wake that `gcco-serve` and `gcco-router` share.
 //!
 //! Attaching a [`gcco_store::Store`] via [`Engine::with_store`] adds a
 //! persistent second cache tier behind the warm-context LRU: every
@@ -57,6 +59,7 @@ mod baseline;
 mod engine;
 mod error;
 pub mod json;
+pub mod listen;
 mod optimize;
 mod request;
 pub mod serve;

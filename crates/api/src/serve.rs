@@ -44,6 +44,8 @@
 //! * **Graceful drain** — shutdown stops intake (new requests get
 //!   `shutting_down`) but every already-queued job is evaluated and its
 //!   response delivered before the workers exit.
+//! * **No polling** — accept, connection reads and the workers all block;
+//!   shutdown wakes each of them explicitly (see [`crate::listen`]).
 
 use crate::engine::{DeadlineGuard, Engine};
 use crate::error::GccoError;
@@ -51,10 +53,11 @@ use crate::json::{
     check_unique_ids, encode_batch, encode_error_line, encode_result_line, json_string,
     parse_client_line, parse_result_line, ClientLine, Envelope, ResultLine,
 };
+use crate::listen::{accept_loop, serve_lines, Gate};
 use crate::request::{EvalRequest, EvalResponse};
 use gcco_obs::{Counter, Gauge, Histogram, Registry};
 use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, ErrorKind, Write};
+use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
@@ -82,9 +85,6 @@ impl Default for ServeConfig {
         }
     }
 }
-
-/// How often blocking loops re-check the shutdown flag.
-const POLL: Duration = Duration::from_millis(25);
 
 struct Job {
     id: u64,
@@ -144,6 +144,9 @@ struct Shared {
     /// sweep-parallelism pool, and reported separately in `stats`.
     serve_workers: usize,
     obs: ServeObs,
+    /// Wakes the accept loop, connection readers and
+    /// [`ServerHandle::run_until_shutdown`] on shutdown.
+    gate: Gate,
 }
 
 impl Shared {
@@ -209,15 +212,22 @@ impl Shared {
     /// this (its job is in the queue, and workers only exit on
     /// empty-queue-with-flag-set, so it drains) or after (it observes the
     /// flag and answers `shutting_down`). There is no third interleaving.
+    /// The transport is woken last, through the gate.
     fn request_shutdown(&self) {
         let queue = self.queue.lock().expect("queue lock poisoned");
         self.shutdown.store(true, Ordering::SeqCst);
         drop(queue);
         self.work_ready.notify_all();
+        self.gate.stop();
     }
 
     /// Worker body: evaluate jobs until shutdown *and* the queue is dry —
     /// the drain guarantee.
+    ///
+    /// Idle workers wait on `work_ready` with no timeout. No wake-up can
+    /// be lost: a worker checks the queue and the flag under the queue
+    /// lock, and both [`Shared::submit`] and [`Shared::request_shutdown`]
+    /// change them under that lock before they notify.
     fn work(&self) {
         loop {
             let job = {
@@ -229,11 +239,7 @@ impl Shared {
                     if self.shutdown.load(Ordering::SeqCst) {
                         break None;
                     }
-                    let (q, _) = self
-                        .work_ready
-                        .wait_timeout(queue, POLL)
-                        .expect("queue lock poisoned");
-                    queue = q;
+                    queue = self.work_ready.wait(queue).expect("queue lock poisoned");
                 }
             };
             let Some(job) = job else { return };
@@ -334,9 +340,7 @@ impl ServerHandle {
     /// Blocks until a wire `shutdown` command flips the flag, then drains
     /// and joins exactly like [`ServerHandle::shutdown`].
     pub fn run_until_shutdown(self) {
-        while !self.is_shutting_down() {
-            std::thread::sleep(POLL);
-        }
+        self.shared.gate.wait();
         self.shutdown();
     }
 }
@@ -359,7 +363,6 @@ impl Drop for ServerHandle {
 pub fn serve(config: &ServeConfig, engine: Engine) -> Result<ServerHandle, GccoError> {
     let listener = TcpListener::bind(&config.addr)?;
     let local_addr = listener.local_addr()?;
-    listener.set_nonblocking(true)?;
     let obs = ServeObs::new(engine.obs().clone());
     let shared = Arc::new(Shared {
         engine,
@@ -369,6 +372,7 @@ pub fn serve(config: &ServeConfig, engine: Engine) -> Result<ServerHandle, GccoE
         queue_capacity: config.queue_capacity.max(1),
         serve_workers: config.workers.max(1),
         obs,
+        gate: Gate::new(local_addr),
     });
     let mut threads = Vec::new();
     for i in 0..config.workers.max(1) {
@@ -384,7 +388,11 @@ pub fn serve(config: &ServeConfig, engine: Engine) -> Result<ServerHandle, GccoE
     threads.push(
         std::thread::Builder::new()
             .name("gcco-serve-accept".to_string())
-            .spawn(move || accept_loop(listener, &accept_shared))
+            .spawn(move || {
+                let shared = Arc::clone(&accept_shared);
+                let handle = move |s| handle_connection(s, &shared);
+                accept_loop(listener, &accept_shared.gate, "gcco-serve-conn", handle);
+            })
             .map_err(|e| GccoError::Io(e.to_string()))?,
     );
     Ok(ServerHandle {
@@ -394,89 +402,15 @@ pub fn serve(config: &ServeConfig, engine: Engine) -> Result<ServerHandle, GccoE
     })
 }
 
-fn accept_loop(listener: TcpListener, shared: &Arc<Shared>) {
-    let mut connections: Vec<JoinHandle<()>> = Vec::new();
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let shared = Arc::clone(shared);
-                if let Ok(handle) = std::thread::Builder::new()
-                    .name("gcco-serve-conn".to_string())
-                    .spawn(move || handle_connection(stream, &shared))
-                {
-                    connections.push(handle);
-                }
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => std::thread::sleep(POLL),
-            Err(_) => std::thread::sleep(POLL),
-        }
-        connections.retain(|c| !c.is_finished());
-    }
-    // Connection threads observe the flag within one read timeout; their
-    // writers flush every drained response before exiting.
-    for c in connections {
-        let _ = c.join();
-    }
-}
-
 fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
-    let Ok(write_half) = stream.try_clone() else {
-        return;
-    };
     shared.obs.connections_total.inc();
     shared.obs.active_connections.inc();
-    let (reply_tx, reply_rx) = mpsc::channel::<String>();
-    let writer = std::thread::Builder::new()
-        .name("gcco-serve-write".to_string())
-        .spawn(move || {
-            let mut out = write_half;
-            // Exits when every sender (reader + queued jobs) is gone, i.e.
-            // after all of this connection's work has been answered.
-            while let Ok(line) = reply_rx.recv() {
-                if out
-                    .write_all(line.as_bytes())
-                    .and_then(|()| out.write_all(b"\n"))
-                    .and_then(|()| out.flush())
-                    .is_err()
-                {
-                    return;
-                }
-            }
-        });
-    let _ = stream.set_read_timeout(Some(POLL));
-    let mut reader = BufReader::new(stream);
-    let mut acc: Vec<u8> = Vec::new();
     let mut submitted: u64 = 0;
-    loop {
-        match reader.read_until(b'\n', &mut acc) {
-            Ok(0) => break, // EOF
-            Ok(_) => {
-                let at_eof = acc.last() != Some(&b'\n');
-                let line = String::from_utf8_lossy(&acc).trim().to_string();
-                acc.clear();
-                if !line.is_empty() {
-                    submitted += handle_line(&line, shared, &reply_tx);
-                }
-                if at_eof || shared.shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
-            }
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                // Partial data (if any) stays in `acc`; just re-check the
-                // shutdown flag and keep reading.
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
-            }
-            Err(_) => break,
-        }
-    }
+    serve_lines(stream, &shared.gate, "gcco-serve-write", |line, reply| {
+        submitted += handle_line(line, shared, reply);
+    });
     shared.obs.connection_requests.observe(submitted as f64);
     shared.obs.active_connections.dec();
-    drop(reply_tx);
-    if let Ok(writer) = writer {
-        let _ = writer.join();
-    }
 }
 
 /// Handles one client line and returns how many envelopes it submitted
@@ -720,6 +654,7 @@ fn ids_match_pending(results: &[ResultLine], pending: &[Envelope]) -> bool {
 }
 
 /// Sends one raw line and reads `expect` response lines within `timeout`.
+/// Each read blocks for at most what is left of that deadline.
 /// A final response delivered without a trailing newline right before the
 /// peer closes the connection still counts — the partial line is flushed
 /// at EOF before deciding between success and a closed-connection error.
@@ -735,22 +670,21 @@ pub fn client_roundtrip(
     timeout: Duration,
 ) -> Result<Vec<String>, GccoError> {
     let stream = TcpStream::connect_timeout(addr, timeout)?;
-    stream.set_read_timeout(Some(POLL))?;
     let mut out = stream.try_clone()?;
     out.write_all(line.as_bytes())?;
     out.write_all(b"\n")?;
     out.flush()?;
-    let deadline = std::time::Instant::now() + timeout;
+    let deadline = Instant::now() + timeout;
     let mut reader = BufReader::new(stream);
     let mut acc: Vec<u8> = Vec::new();
     let mut lines = Vec::new();
+    let timed_out = |n: usize| GccoError::Io(format!("timed out with {n}/{expect} responses"));
     while lines.len() < expect {
-        if std::time::Instant::now() >= deadline {
-            return Err(GccoError::Io(format!(
-                "timed out with {}/{expect} responses",
-                lines.len()
-            )));
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(timed_out(lines.len()));
         }
+        reader.get_ref().set_read_timeout(Some(left))?;
         match reader.read_until(b'\n', &mut acc) {
             Ok(0) => {
                 // EOF: a peer may flush its final response and close
@@ -777,7 +711,9 @@ pub fn client_roundtrip(
                     }
                 }
             }
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
+            // The read timeout is the rest of the deadline, so a read
+            // that fails after it has passed timed out.
+            Err(_) if Instant::now() >= deadline => return Err(timed_out(lines.len())),
             Err(e) => return Err(e.into()),
         }
     }
@@ -828,6 +764,7 @@ mod tests {
             queue_capacity: 64,
             serve_workers: workers,
             obs,
+            gate: Gate::new(SocketAddr::from(([127, 0, 0, 1], 0))),
         });
         let handles = (0..workers)
             .map(|_| {

@@ -1,6 +1,7 @@
 //! TCP loopback tests for `gcco-serve`'s server core: mixed concurrent
 //! batches, per-request deadlines that fail without killing the server,
-//! backpressure, and the graceful shutdown drain.
+//! backpressure, the graceful shutdown drain, and the blocking accept with
+//! its explicit shutdown wake.
 
 use gcco_api::json::{encode_batch, Envelope, PROTOCOL_VERSION};
 use gcco_api::serve::{client_roundtrip, send_shutdown, serve, submit_batch, ServeConfig};
@@ -10,7 +11,8 @@ use gcco_api::{
 use std::collections::HashSet;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
-use std::time::Duration;
+use std::sync::mpsc;
+use std::time::{Duration, Instant};
 
 const TIMEOUT: Duration = Duration::from_secs(120);
 
@@ -364,4 +366,97 @@ fn wire_shutdown_drains_in_flight_work() {
     // flag; here the handle observes it too.
     assert!(handle.is_shutting_down());
     handle.shutdown();
+}
+
+/// Runs `f` on its own thread and fails the test if it has not returned
+/// within `limit` (a hung shutdown must fail, not hang the suite).
+fn returns_within(what: &str, limit: Duration, f: impl FnOnce() + Send + 'static) {
+    let (done_tx, done_rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        f();
+        let _ = done_tx.send(());
+    });
+    assert!(
+        done_rx.recv_timeout(limit).is_ok(),
+        "{what} did not return within {limit:?}"
+    );
+}
+
+/// Regression for the accept loop's 25 ms poll floor: every new
+/// connection waited out the rest of a sleep before it was accepted, so
+/// 40 sequential round trips took at least a second.
+#[test]
+fn sequential_pings_on_fresh_connections_pay_no_poll_floor() {
+    let handle = serve(&ServeConfig::default(), Engine::new()).expect("bind loopback");
+    let addr = handle.local_addr();
+    let start = Instant::now();
+    for _ in 0..40 {
+        let pong = client_roundtrip(&addr, "{\"cmd\":\"ping\"}", 1, TIMEOUT).expect("ping");
+        assert_eq!(pong, ["{\"pong\":true}"]);
+    }
+    let elapsed = start.elapsed();
+    assert!(
+        elapsed < Duration::from_millis(500),
+        "40 fresh-connection pings took {elapsed:?}"
+    );
+    handle.shutdown();
+}
+
+/// Connection reads block with no timeout, so shutdown must wake an idle
+/// reader itself (by shutting its read half) instead of waiting for the
+/// client to send or hang up.
+#[test]
+fn shutdown_returns_promptly_with_an_idle_client_connected() {
+    let handle = serve(&ServeConfig::default(), Engine::new()).expect("bind loopback");
+    let idle = TcpStream::connect_timeout(&handle.local_addr(), TIMEOUT).expect("connect");
+    // A pong on this connection proves its reader is up and now idle.
+    let mut out = idle.try_clone().expect("clone write half");
+    out.write_all(b"{\"cmd\":\"ping\"}\n").expect("ping");
+    let mut reader = BufReader::new(idle);
+    let mut pong = String::new();
+    reader.read_line(&mut pong).expect("pong");
+    assert_eq!(pong.trim(), "{\"pong\":true}");
+    returns_within("shutdown()", Duration::from_secs(1), move || {
+        handle.shutdown()
+    });
+    // The server closed its side: the idle client now reads EOF.
+    let mut rest = String::new();
+    assert_eq!(reader.read_line(&mut rest).expect("eof"), 0);
+}
+
+/// A server bound to the unspecified address wakes its accept loop
+/// through loopback.
+#[test]
+fn server_bound_to_the_unspecified_address_shuts_down_cleanly() {
+    let handle = serve(
+        &ServeConfig {
+            addr: "0.0.0.0:0".to_string(),
+            ..ServeConfig::default()
+        },
+        Engine::new(),
+    )
+    .expect("bind 0.0.0.0");
+    let addr = handle.local_addr();
+    assert!(addr.ip().is_unspecified());
+    let loopback = std::net::SocketAddr::from(([127, 0, 0, 1], addr.port()));
+    let pong = client_roundtrip(&loopback, "{\"cmd\":\"ping\"}", 1, TIMEOUT).expect("ping");
+    assert_eq!(pong, ["{\"pong\":true}"]);
+    returns_within("shutdown()", Duration::from_secs(1), move || {
+        handle.shutdown()
+    });
+    assert!(
+        client_roundtrip(&loopback, "{\"cmd\":\"ping\"}", 1, Duration::from_secs(2)).is_err(),
+        "a stopped server must stop serving"
+    );
+}
+
+/// `run_until_shutdown` blocks on the shutdown signal, not a sleep loop:
+/// after a wire `shutdown` it drains, joins and returns.
+#[test]
+fn wire_shutdown_releases_run_until_shutdown() {
+    let handle = serve(&ServeConfig::default(), Engine::new()).expect("bind loopback");
+    send_shutdown(&handle.local_addr(), TIMEOUT).expect("shutdown acknowledged");
+    returns_within("run_until_shutdown()", Duration::from_secs(5), move || {
+        handle.run_until_shutdown()
+    });
 }

@@ -45,19 +45,16 @@ use gcco_api::json::{
     encode_error_line, encode_parsed_result_line, encode_result_line, json_string,
     parse_client_line, ClientLine, Envelope,
 };
+use gcco_api::listen::{accept_loop, serve_lines, Gate};
 use gcco_api::serve::{client_roundtrip, submit_batch_with_retry, RetryPolicy};
 use gcco_api::GccoError;
 use gcco_obs::{Counter, Gauge, Registry};
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
-
-/// How often blocking loops re-check the shutdown flag.
-const POLL: Duration = Duration::from_millis(25);
+use std::time::Duration;
 
 /// Router tuning knobs.
 #[derive(Clone, Debug)]
@@ -209,7 +206,9 @@ struct RouterShared {
     retry: RetryPolicy,
     probe_interval: Duration,
     probe_timeout: Duration,
-    shutdown: AtomicBool,
+    /// The stop flag; wakes the accept loop, connection readers, the
+    /// prober and [`RouterHandle::run_until_shutdown`].
+    gate: Gate,
     obs: RouterObs,
 }
 
@@ -249,19 +248,11 @@ impl RouterShared {
 
     fn probe_loop(&self) {
         // Probe immediately so a backend that was down before the router
-        // started is ejected before the first request, then on the
-        // configured period (sleeping in POLL steps to stay responsive to
-        // shutdown).
+        // started is ejected before the first request, then once per
+        // configured period until the gate stops.
         loop {
             self.probe_all();
-            let until = Instant::now() + self.probe_interval;
-            while Instant::now() < until {
-                if self.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                std::thread::sleep(POLL.min(self.probe_interval));
-            }
-            if self.shutdown.load(Ordering::SeqCst) {
+            if self.gate.wait_timeout(self.probe_interval) {
                 return;
             }
         }
@@ -351,7 +342,7 @@ impl RouterShared {
                     return;
                 }
             }
-            if self.shutdown.load(Ordering::SeqCst) {
+            if self.gate.is_stopped() {
                 break;
             }
         }
@@ -418,11 +409,11 @@ impl RouterHandle {
 
     /// True once shutdown has been requested (locally or over the wire).
     pub fn is_shutting_down(&self) -> bool {
-        self.shared.shutdown.load(Ordering::SeqCst)
+        self.shared.gate.is_stopped()
     }
 
     fn stop_and_join(&mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
+        self.shared.gate.stop();
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
@@ -438,9 +429,7 @@ impl RouterHandle {
     /// Blocks until a wire `shutdown` command flips the flag, then joins
     /// exactly like [`RouterHandle::shutdown`].
     pub fn run_until_shutdown(self) {
-        while !self.is_shutting_down() {
-            std::thread::sleep(POLL);
-        }
+        self.shared.gate.wait();
         self.shutdown();
     }
 }
@@ -465,7 +454,6 @@ pub fn route(config: &RouterConfig) -> Result<RouterHandle, GccoError> {
     }
     let listener = TcpListener::bind(&config.addr)?;
     let local_addr = listener.local_addr()?;
-    listener.set_nonblocking(true)?;
     let obs = RouterObs::new(Registry::new());
     obs.backends_alive.set(config.backends.len() as i64);
     let shared = Arc::new(RouterShared {
@@ -483,7 +471,7 @@ pub fn route(config: &RouterConfig) -> Result<RouterHandle, GccoError> {
         retry: config.retry.clone(),
         probe_interval: config.probe_interval,
         probe_timeout: config.probe_timeout,
-        shutdown: AtomicBool::new(false),
+        gate: Gate::new(local_addr),
         obs,
     });
     let mut threads = Vec::new();
@@ -498,7 +486,11 @@ pub fn route(config: &RouterConfig) -> Result<RouterHandle, GccoError> {
     threads.push(
         std::thread::Builder::new()
             .name("gcco-router-accept".to_string())
-            .spawn(move || accept_loop(listener, &accept_shared))
+            .spawn(move || {
+                let shared = Arc::clone(&accept_shared);
+                let handle = move |s| handle_connection(s, &shared);
+                accept_loop(listener, &accept_shared.gate, "gcco-router-conn", handle);
+            })
             .map_err(|e| GccoError::Io(e.to_string()))?,
     );
     Ok(RouterHandle {
@@ -508,89 +500,19 @@ pub fn route(config: &RouterConfig) -> Result<RouterHandle, GccoError> {
     })
 }
 
-fn accept_loop(listener: TcpListener, shared: &Arc<RouterShared>) {
-    let mut connections: Vec<JoinHandle<()>> = Vec::new();
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let shared = Arc::clone(shared);
-                if let Ok(handle) = std::thread::Builder::new()
-                    .name("gcco-router-conn".to_string())
-                    .spawn(move || handle_connection(stream, &shared))
-                {
-                    connections.push(handle);
-                }
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => std::thread::sleep(POLL),
-            Err(_) => std::thread::sleep(POLL),
-        }
-        connections.retain(|c| !c.is_finished());
-    }
-    for c in connections {
-        let _ = c.join();
-    }
-}
-
 /// One client connection: a reader parsing lines, a writer serializing
 /// responses, and one dispatch thread per batch line so a slow sub-batch
 /// never blocks later lines on the same connection (responses correlate
-/// by id, same as `gcco-serve`).
+/// by id, same as `gcco-serve`). Returning waits for in-flight dispatch
+/// threads too: they hold reply senders, and the writer only exits once
+/// all are gone.
 fn handle_connection(stream: TcpStream, shared: &Arc<RouterShared>) {
-    let Ok(write_half) = stream.try_clone() else {
-        return;
-    };
     shared.obs.connections_total.inc();
     shared.obs.active_connections.inc();
-    let (reply_tx, reply_rx) = mpsc::channel::<String>();
-    let writer = std::thread::Builder::new()
-        .name("gcco-router-write".to_string())
-        .spawn(move || {
-            let mut out = write_half;
-            // Exits once every sender (reader + in-flight dispatches) is
-            // gone, i.e. after all of this connection's work is answered.
-            while let Ok(line) = reply_rx.recv() {
-                if out
-                    .write_all(line.as_bytes())
-                    .and_then(|()| out.write_all(b"\n"))
-                    .and_then(|()| out.flush())
-                    .is_err()
-                {
-                    return;
-                }
-            }
-        });
-    let _ = stream.set_read_timeout(Some(POLL));
-    let mut reader = BufReader::new(stream);
-    let mut acc: Vec<u8> = Vec::new();
-    loop {
-        match reader.read_until(b'\n', &mut acc) {
-            Ok(0) => break, // EOF
-            Ok(_) => {
-                let at_eof = acc.last() != Some(&b'\n');
-                let line = String::from_utf8_lossy(&acc).trim().to_string();
-                acc.clear();
-                if !line.is_empty() {
-                    handle_line(&line, shared, &reply_tx);
-                }
-                if at_eof || shared.shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
-            }
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
-            }
-            Err(_) => break,
-        }
-    }
+    serve_lines(stream, &shared.gate, "gcco-router-write", |line, reply| {
+        handle_line(line, shared, reply);
+    });
     shared.obs.active_connections.dec();
-    drop(reply_tx);
-    // Joining the writer waits for in-flight dispatch threads too: they
-    // hold reply senders, and the writer only exits once all are gone.
-    if let Ok(writer) = writer {
-        let _ = writer.join();
-    }
 }
 
 fn handle_line(line: &str, shared: &Arc<RouterShared>, reply: &mpsc::Sender<String>) {
@@ -611,8 +533,9 @@ fn handle_line(line: &str, shared: &Arc<RouterShared>, reply: &mpsc::Sender<Stri
                 let _ = reply.send(shared.metrics_line());
             }
             "shutdown" => {
+                // Flag first, ack second, as in gcco-serve.
+                shared.gate.stop();
                 let _ = reply.send("{\"ok\":\"shutting_down\"}".to_string());
-                shared.shutdown.store(true, Ordering::SeqCst);
             }
             other => {
                 let _ = reply.send(encode_error_line(&GccoError::Parse(format!(

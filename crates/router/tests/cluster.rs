@@ -372,3 +372,24 @@ fn router_speaks_the_serve_command_protocol() {
     assert_eq!(still_up, vec!["{\"pong\":true}".to_string()]);
     a.shutdown();
 }
+
+/// Regression for the router's 25 ms accept-poll floor: 40 sequential
+/// round trips on fresh connections took at least a second.
+#[test]
+fn sequential_pings_through_the_router_pay_no_poll_floor() {
+    let a = backend();
+    let router = router_over(vec![a.local_addr()]);
+    let addr = router.local_addr();
+    let start = Instant::now();
+    for _ in 0..40 {
+        let pong = client_roundtrip(&addr, "{\"cmd\":\"ping\"}", 1, TIMEOUT).expect("ping");
+        assert_eq!(pong, vec!["{\"pong\":true}".to_string()]);
+    }
+    let elapsed = start.elapsed();
+    assert!(
+        elapsed < Duration::from_millis(500),
+        "40 fresh-connection pings through the router took {elapsed:?}"
+    );
+    router.shutdown();
+    a.shutdown();
+}
