@@ -21,8 +21,10 @@
 //! until every reply sender — its reader's and whatever work the reader
 //! handed off — is gone, so the servers' drain contracts are unchanged.
 
+use crate::error::GccoError;
+use crate::json::encode_error_line;
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -32,6 +34,15 @@ use std::time::Duration;
 /// Pause after a failed `accept` (e.g. `EMFILE`) so a persistent error
 /// does not spin a core. Only the error path sleeps.
 const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(10);
+
+/// The longest line, in bytes without its `\n`, that [`serve_lines`]
+/// reads. A longer line gets one id-less `parse_error` reply and then the
+/// connection closes, so a peer that never sends `\n` cannot grow a
+/// buffer without bound. The largest line any in-repo client sends is
+/// `baseline_suite --remote`'s full-flow batch of 14 envelopes, about
+/// 4 KB (the largest test line, the 20 KB nesting-depth probe, is not a
+/// real client); 1 MiB fits a batch of some 2,800 `ber_point` envelopes.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
 
 /// Live connection streams, keyed by a per-gate id.
 #[derive(Default)]
@@ -172,9 +183,10 @@ where
 /// Serves one line-delimited connection: the calling thread reads lines
 /// and hands each non-empty one to `on_line` with the connection's reply
 /// sender, while a writer thread (named `writer_name`) writes every reply
-/// as one line. Reads block with no timeout until EOF, an error, or
-/// [`Gate::stop`]. Returns once the writer has delivered every reply,
-/// which is after the last sender `on_line` cloned is dropped.
+/// as one line. Reads block with no timeout until EOF, an error, a line
+/// longer than [`MAX_LINE_BYTES`] or [`Gate::stop`]. Returns once the
+/// writer has delivered every reply, which is after the last sender
+/// `on_line` cloned is dropped.
 pub fn serve_lines(
     stream: TcpStream,
     gate: &Gate,
@@ -205,9 +217,18 @@ pub fn serve_lines(
         });
     let mut reader = BufReader::new(stream);
     let mut acc: Vec<u8> = Vec::new();
+    // One byte past the cap: a full read that still lacks the `\n` is a
+    // line longer than the cap.
+    let limit = MAX_LINE_BYTES as u64 + 1;
     while !gate.is_stopped() {
-        match reader.read_until(b'\n', &mut acc) {
+        match reader.by_ref().take(limit).read_until(b'\n', &mut acc) {
             Ok(0) | Err(_) => break,
+            Ok(n) if n as u64 == limit && acc.last() != Some(&b'\n') => {
+                let _ = reply_tx.send(encode_error_line(&GccoError::Parse(format!(
+                    "line longer than {MAX_LINE_BYTES} bytes"
+                ))));
+                break;
+            }
             Ok(_) => {
                 let at_eof = acc.last() != Some(&b'\n');
                 let line = String::from_utf8_lossy(&acc).trim().to_string();

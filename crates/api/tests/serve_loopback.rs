@@ -4,6 +4,7 @@
 //! its explicit shutdown wake.
 
 use gcco_api::json::{encode_batch, Envelope, PROTOCOL_VERSION};
+use gcco_api::listen::MAX_LINE_BYTES;
 use gcco_api::serve::{client_roundtrip, send_shutdown, serve, submit_batch, ServeConfig};
 use gcco_api::{
     DsimRunSpec, Engine, EvalRequest, EvalResponse, ModelSpec, PowerScanSpec, SjOverride,
@@ -231,6 +232,42 @@ fn over_deep_lines_get_parse_errors_and_the_server_keeps_answering() {
     };
     let results = submit_batch(&addr, &[env], TIMEOUT).expect("still serving");
     assert!(results[0].result.is_ok(), "{:?}", results[0]);
+    handle.shutdown();
+}
+
+#[test]
+fn lines_over_the_cap_get_one_parse_error_then_the_connection_closes() {
+    let handle = serve(&ServeConfig::default(), Engine::new()).expect("bind loopback");
+    let addr = handle.local_addr();
+    // A line of exactly the cap is read whole (and trimmed to a ping).
+    let ping = "{\"cmd\":\"ping\"}";
+    let at_cap = ping.to_string() + &" ".repeat(MAX_LINE_BYTES - ping.len());
+    let pong = client_roundtrip(&addr, &at_cap, 1, TIMEOUT).expect("ping at the cap");
+    assert_eq!(pong, vec!["{\"pong\":true}".to_string()]);
+
+    // One byte more: an id-less parse_error, then EOF on the same
+    // connection instead of an answer to the ping that follows.
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream.set_read_timeout(Some(TIMEOUT)).expect("timeout");
+    let mut over = vec![b'x'; MAX_LINE_BYTES + 1];
+    over.push(b'\n');
+    stream.write_all(&over).expect("send the long line");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut reply = String::new();
+    reader.read_line(&mut reply).expect("error reply");
+    assert!(reply.starts_with("{\"err\":"), "{reply}");
+    assert!(reply.contains("\"kind\":\"parse_error\""), "{reply}");
+    assert!(!reply.contains("\"id\""), "{reply}");
+    let _ = stream.write_all(b"{\"cmd\":\"ping\"}\n");
+    let mut rest = String::new();
+    assert!(
+        matches!(reader.read_line(&mut rest), Ok(0) | Err(_)),
+        "the connection must close after the error, got {rest:?}"
+    );
+
+    // A fresh connection is served as usual.
+    let pong = client_roundtrip(&addr, "{\"cmd\":\"ping\"}", 1, TIMEOUT).expect("ping");
+    assert_eq!(pong, vec!["{\"pong\":true}".to_string()]);
     handle.shutdown();
 }
 

@@ -4,187 +4,33 @@
 //! the frequency-detector-assisted bang-bang variant.
 //!
 //! Every number is an [`gcco_api::EvalRequest`] evaluated through the
-//! engine — locally (with an optional persistent `--store` journal, so a
-//! re-run replays every row from disk bit-identically) or against a
-//! `gcco-serve`/`gcco-router` endpoint with `--remote` (the acceptance
-//! contract: serial, store-warmed and router-sharded runs print the same
-//! report bytes).
+//! shared evaluator ([`gcco_bench::journaled`]) — locally (with an optional
+//! persistent `--store` journal, so a re-run replays every row from disk
+//! bit-identically) or against a `gcco-serve`/`gcco-router` endpoint with
+//! `--remote` (the acceptance contract: serial, store-warmed and
+//! router-sharded runs print the same report bytes).
 //!
 //! ```text
 //! baseline_suite [--store DIR] [--report FILE] [--quick] [--remote ADDR]
-//!
-//!   --store DIR    attach a persistent gcco-store journal: every row is
-//!                  journaled under its canonical cache key, so a killed
-//!                  or repeated run replays instead of recomputing
-//!   --report FILE  write the deterministic comparison report to FILE
-//!   --quick        shorter runs (20 kbit instead of 100 kbit) for smoke
-//!                  jobs — still fully deterministic
-//!   --remote ADDR  evaluate every request over TCP against a gcco-serve
-//!                  or gcco-router endpoint (incompatible with --store,
-//!                  which is a local-oracle concern)
 //! ```
+//!
+//! `--quick` tracks 20 kbit instead of 100 kbit per run, for smoke jobs —
+//! still fully deterministic.
 
-use gcco_api::json::{encode_batch, parse_result_line, Envelope, PROTOCOL_VERSION};
-use gcco_api::{
-    BaselineMetric, BaselineOut, BaselineSpec, CdrArchKind, Engine, EvalRequest, EvalResponse,
-    GccoError, ModelSpec,
+use gcco_api::{BaselineOut, CdrArchKind, EvalResponse};
+use gcco_bench::journaled::{
+    args_or_exit, baseline_suite_requests, opt_f64, Evaluator, Flag, Job, BASELINE_CAPTURE_HI,
+    BASELINE_JTOL_FREQ_NORM,
 };
 use gcco_bench::{header, metrics, result_line};
-use gcco_store::Store;
 use std::fmt::Write as _;
-use std::io::{BufRead, BufReader, Write as _};
-use std::net::TcpStream;
-use std::sync::Arc;
 
-/// The SJ frequency (normalized to the bit rate) every JTOL column probes.
-const JTOL_FREQ_NORM: f64 = 0.01;
-/// The bracket top for every capture-range bisection, as |freq offset|.
-const CAPTURE_HI: f64 = 0.1;
-
-/// Evaluates request lists locally or over the wire; both paths answer
-/// the same kernels, so the report is byte-identical either way.
-enum Oracle {
-    Local(Engine),
-    Remote {
-        addr: String,
-        reader: BufReader<TcpStream>,
-        writer: TcpStream,
-    },
-}
-
-impl Oracle {
-    fn remote(addr: &str) -> Result<Oracle, GccoError> {
-        let io = |e: std::io::Error| GccoError::Io(format!("{addr}: {e}"));
-        let writer = TcpStream::connect(addr).map_err(io)?;
-        let reader = BufReader::new(writer.try_clone().map_err(io)?);
-        Ok(Oracle::Remote {
-            addr: addr.to_string(),
-            reader,
-            writer,
-        })
-    }
-
-    /// Evaluates every request, returning responses **in request order**
-    /// (the wire path answers in completion order; envelope ids put the
-    /// responses back into their slots).
-    fn eval_all(&mut self, requests: &[EvalRequest]) -> Result<Vec<EvalResponse>, GccoError> {
-        match self {
-            Oracle::Local(engine) => requests.iter().map(|r| engine.evaluate(r)).collect(),
-            Oracle::Remote {
-                addr,
-                reader,
-                writer,
-            } => {
-                let io = |e: std::io::Error| GccoError::Io(format!("{addr}: {e}"));
-                let envelopes: Vec<Envelope> = requests
-                    .iter()
-                    .enumerate()
-                    .map(|(i, request)| Envelope {
-                        id: i as u64 + 1,
-                        v: Some(PROTOCOL_VERSION),
-                        deadline_ms: None,
-                        request: request.clone(),
-                    })
-                    .collect();
-                let mut line = encode_batch(&envelopes);
-                line.push('\n');
-                writer.write_all(line.as_bytes()).map_err(io)?;
-                let mut slots: Vec<Option<EvalResponse>> = vec![None; requests.len()];
-                for _ in 0..requests.len() {
-                    let mut reply = String::new();
-                    if reader.read_line(&mut reply).map_err(io)? == 0 {
-                        return Err(GccoError::Io(format!(
-                            "{addr}: connection closed mid-batch"
-                        )));
-                    }
-                    let parsed = parse_result_line(reply.trim_end())?;
-                    let slot = (parsed.id as usize)
-                        .checked_sub(1)
-                        .filter(|&i| i < slots.len() && slots[i].is_none())
-                        .ok_or_else(|| {
-                            GccoError::Io(format!("{addr}: unexpected response id {}", parsed.id))
-                        })?;
-                    match parsed.result {
-                        Ok(response) => slots[slot] = Some(response),
-                        Err((kind, detail)) => {
-                            return Err(GccoError::Io(format!(
-                                "{addr}: request {} failed: {kind}: {detail}",
-                                parsed.id
-                            )))
-                        }
-                    }
-                }
-                Ok(slots
-                    .into_iter()
-                    .map(|s| s.expect("every slot answered"))
-                    .collect())
-            }
-        }
-    }
-
-    /// Store hits observed by the local engine (`0` on the wire path —
-    /// any journal there is the server's to count).
-    fn store_hits(&self) -> u64 {
-        match self {
-            Oracle::Local(engine) => engine.obs().counter("gcco_store_hits_total").get(),
-            Oracle::Remote { .. } => 0,
-        }
-    }
-}
-
-struct Args {
-    store: Option<String>,
-    report: Option<String>,
-    quick: bool,
-    remote: Option<String>,
-}
-
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        store: None,
-        report: None,
-        quick: false,
-        remote: None,
-    };
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let mut it = raw.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--store" => {
-                args.store = Some(
-                    it.next()
-                        .ok_or_else(|| "--store needs a directory".to_string())?
-                        .clone(),
-                );
-            }
-            "--report" => {
-                args.report = Some(
-                    it.next()
-                        .ok_or_else(|| "--report needs a file path".to_string())?
-                        .clone(),
-                );
-            }
-            "--quick" => args.quick = true,
-            "--remote" => {
-                args.remote = Some(
-                    it.next()
-                        .ok_or_else(|| "--remote needs an ADDR:PORT".to_string())?
-                        .clone(),
-                );
-            }
-            other => {
-                return Err(format!(
-                    "unknown argument \"{other}\"\nusage: baseline_suite \
-                     [--store DIR] [--report FILE] [--quick] [--remote ADDR]"
-                ));
-            }
-        }
-    }
-    if args.remote.is_some() && args.store.is_some() {
-        return Err("--remote evaluates server-side; --store only applies locally".to_string());
-    }
-    Ok(args)
-}
+const JOB: Job = Job {
+    bin: "baseline_suite",
+    flags: &[Flag::Store, Flag::Report, Flag::Quick, Flag::Remote],
+    unit: "requests",
+    hits_key: metrics::BASELINE_STORE_HITS,
+};
 
 fn arch_label(arch: CdrArchKind) -> &'static str {
     match arch {
@@ -198,13 +44,6 @@ fn arch_label(arch: CdrArchKind) -> &'static str {
 fn opt_u64(v: Option<u64>) -> String {
     match v {
         Some(x) => x.to_string(),
-        None => "none".to_string(),
-    }
-}
-
-fn opt_f64(v: Option<f64>) -> String {
-    match v {
-        Some(x) => format!("{x:?}"),
         None => "none".to_string(),
     }
 }
@@ -246,10 +85,7 @@ fn render_report(rows: &[ArchRow], gcco_jtol_pp: f64, gcco_ftol: f64, quick: boo
 }
 
 fn main() {
-    let args = parse_args().unwrap_or_else(|e| {
-        eprintln!("baseline_suite: {e}");
-        std::process::exit(2);
-    });
+    let args = args_or_exit(&JOB);
     header(
         "baseline_suite",
         "GCCO vs bang-bang vs Mueller-Muller vs Gardner (behavioral loops)",
@@ -259,67 +95,11 @@ fn main() {
 
     let bits: u32 = if args.quick { 20_000 } else { 100_000 };
     println!(
-        "tracking {bits} PRBS7 bits per run, JTOL at {JTOL_FREQ_NORM} f_b, \
-         capture bracket +/-{CAPTURE_HI} of f_b\n"
+        "tracking {bits} PRBS7 bits per run, JTOL at {BASELINE_JTOL_FREQ_NORM} f_b, \
+         capture bracket +/-{BASELINE_CAPTURE_HI} of f_b\n"
     );
-
-    // The request list, in deterministic order: the GCCO pair first, then
-    // the Track / CaptureRange / JtolPoint triple per architecture.
-    let gcco_spec = ModelSpec::paper_table1();
-    let mut requests = vec![
-        EvalRequest::JtolCurve {
-            spec: gcco_spec.clone(),
-            freqs_norm: vec![JTOL_FREQ_NORM],
-            target_ber: 1e-12,
-        },
-        EvalRequest::FtolSearch {
-            spec: gcco_spec,
-            target_ber: 1e-12,
-        },
-    ];
-    for arch in CdrArchKind::ALL {
-        let spec = BaselineSpec {
-            bits,
-            ..BaselineSpec::typical(arch)
-        };
-        for metric in [
-            BaselineMetric::Track,
-            BaselineMetric::CaptureRange { hi: CAPTURE_HI },
-            BaselineMetric::JtolPoint {
-                freq_norm: JTOL_FREQ_NORM,
-            },
-        ] {
-            requests.push(EvalRequest::baseline(arch, spec, metric));
-        }
-    }
-
-    let mut oracle = if let Some(addr) = &args.remote {
-        println!("evaluating through {addr}");
-        Oracle::remote(addr).unwrap_or_else(|e| {
-            eprintln!("baseline_suite: --remote: {e}");
-            std::process::exit(2);
-        })
-    } else {
-        let mut engine = Engine::new();
-        if let Some(dir) = &args.store {
-            let store = Store::open(dir).unwrap_or_else(|e| {
-                eprintln!("baseline_suite: --store {dir}: {e}");
-                std::process::exit(2);
-            });
-            let recovery = store.recovery();
-            println!(
-                "store {dir}: {} records recovered, {} torn bytes truncated",
-                recovery.intact_records, recovery.torn_bytes
-            );
-            engine = engine.with_store(Arc::new(store));
-        }
-        Oracle::Local(engine)
-    };
-
-    let responses = oracle.eval_all(&requests).unwrap_or_else(|e| {
-        eprintln!("baseline_suite: {e}");
-        std::process::exit(1);
-    });
+    let mut eval = Evaluator::open(JOB, args);
+    let responses = eval.eval_all(&baseline_suite_requests(bits));
 
     let mut it = responses.into_iter();
     let gcco_jtol_pp = match it.next() {
@@ -371,10 +151,9 @@ fn main() {
         );
     }
 
-    let report = render_report(&rows, gcco_jtol_pp, gcco_ftol, args.quick);
+    let report = render_report(&rows, gcco_jtol_pp, gcco_ftol, eval.args.quick);
 
-    let hits = oracle.store_hits();
-    result_line(metrics::BASELINE_STORE_HITS, hits);
+    result_line(metrics::BASELINE_STORE_HITS, eval.store_hits());
     result_line(
         metrics::BASELINE_GCCO_JTOL_0P01FB,
         format!("{gcco_jtol_pp:.2}"),
@@ -417,13 +196,7 @@ fn main() {
         );
     }
 
-    if let Some(path) = &args.report {
-        std::fs::write(path, &report).unwrap_or_else(|e| {
-            eprintln!("baseline_suite: --report {path}: {e}");
-            std::process::exit(2);
-        });
-        println!("report written to {path}");
-    }
+    eval.write_report(&report);
 
     // The architectural claims the table must support: every loop locks
     // on the clean run, and the open-loop GCCO out-tracks every loop at
@@ -439,13 +212,14 @@ fn main() {
         if let Some(amp) = row.jtol.jtol_amp_pp {
             assert!(
                 gcco_jtol_pp > amp,
-                "the GCCO must out-track {} at {JTOL_FREQ_NORM} f_b",
+                "the GCCO must out-track {} at {BASELINE_JTOL_FREQ_NORM} f_b",
                 arch_label(row.arch)
             );
         }
     }
     println!(
         "\nOK: every behavioral loop locks on clean data; the GCCO tracks \
-         {gcco_jtol_pp:.2} UIpp at {JTOL_FREQ_NORM} f_b, above every loop baseline."
+         {gcco_jtol_pp:.2} UIpp at {BASELINE_JTOL_FREQ_NORM} f_b, above every \
+         loop baseline."
     );
 }

@@ -4,7 +4,7 @@
 //! acquisition and power.
 
 use gcco_bench::{header, result_line};
-use gcco_core::{BangBangCdr, BangBangConfig, PhaseInterpCdr, PiConfig};
+use gcco_core::{BangBangCdr, BangBangConfig, CdrArch, PhaseInterpCdr, PiConfig};
 use gcco_noise::{size_for_jitter, ChannelPowerBudget, PhaseNoiseModel};
 use gcco_stat::{ftol, GccoStatModel, JitterSpec, SweepContext};
 use gcco_units::{Current, Freq, Voltage};
@@ -62,7 +62,7 @@ fn main() {
 
     println!("\nacquisition from worst-case phase:");
     let bits = gcco_signal::Prbs::new(gcco_signal::PrbsOrder::P7).take_bits(20_000);
-    let bb_run = bb.run(
+    let bb_run = bb.track(
         &bits,
         Freq::from_gbps(2.5),
         &gcco_signal::JitterConfig::none(),

@@ -4,11 +4,14 @@
 //! Each figure/table has a binary under `src/bin/` (`fig09`, `table1`, …)
 //! that prints the same rows/series the paper reports; `EXPERIMENTS.md` at
 //! the workspace root records the paper-versus-measured comparison. The
-//! Criterion performance benches live under `benches/`.
+//! resumable binaries (`campaign`, `mc_campaign`, `optimize`,
+//! `baseline_suite`) share one front end, [`journaled`], and `perf_snapshot`
+//! is the one performance harness (it writes `BENCH_sweep.json`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod journaled;
 pub mod metrics;
 pub mod runner;
 

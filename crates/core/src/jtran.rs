@@ -11,6 +11,7 @@
 
 use crate::baseline::BangBangCdr;
 use crate::cdr::{build_cdr, CdrConfig};
+use crate::cdr_arch::CdrArch;
 use gcco_dsim::Simulator;
 use gcco_signal::{BitStream, EdgeStream, JitterConfig, SinusoidalJitter};
 use gcco_stat::tone_amplitude;
@@ -85,7 +86,7 @@ pub fn bang_bang_jitter_transfer(
     let bits = BitStream::alternating(n_bits);
     let jitter =
         JitterConfig::none().with_sj(SinusoidalJitter::new(amplitude_pp, bit_rate * f_norm));
-    let result = cdr.run(&bits, bit_rate, &jitter, seed);
+    let result = cdr.track(&bits, bit_rate, &jitter, seed);
     // Recovered clock phase θ = displacement − error; alternating data
     // gives one sample per bit.
     let skip = result.phase_error.len() / 4;

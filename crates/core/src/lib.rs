@@ -58,7 +58,7 @@ mod pll;
 mod receiver;
 mod rotfd;
 
-pub use baseline::{BangBangCdr, BangBangConfig, BangBangRunResult};
+pub use baseline::{BangBangCdr, BangBangConfig};
 pub use cdr::{build_cdr, run_cdr, CdrConfig, CdrHandles, CdrRunResult};
 pub use cdr_arch::{
     wrap_ui, CdrArch, CdrTrace, LockDetector, NrzWaveform, LOCK_BAND_UI, LOCK_CONFIRM_UPDATES,

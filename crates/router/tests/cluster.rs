@@ -11,6 +11,7 @@
 //! byte diff.
 
 use gcco_api::json::{encode_batch, Envelope, PROTOCOL_VERSION};
+use gcco_api::listen::MAX_LINE_BYTES;
 use gcco_api::serve::{client_roundtrip, serve, RetryPolicy, ServeConfig, ServerHandle};
 use gcco_api::{
     DsimRunSpec, Engine, EvalRequest, ModelSpec, MultiChannelSpec, PowerScanSpec, SjOverride,
@@ -18,7 +19,8 @@ use gcco_api::{
 use gcco_faults::{ChaosProxy, ConnFault, ProxyPlan};
 use gcco_router::{route, RouterConfig, RouterHandle};
 use gcco_store::Store;
-use std::net::SocketAddr;
+use std::io::{BufRead, BufReader, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -343,6 +345,36 @@ fn over_deep_lines_get_parse_errors_through_the_router() {
     )];
     let lines = client_roundtrip(&addr, &encode_batch(&batch), 1, TIMEOUT).expect("answered");
     assert!(lines[0].starts_with("{\"id\":1,\"ok\":"), "{}", lines[0]);
+    router.shutdown();
+    a.shutdown();
+}
+
+#[test]
+fn lines_over_the_cap_get_a_parse_error_through_the_router() {
+    let a = backend();
+    let router = router_over(vec![a.local_addr()]);
+    let addr = router.local_addr();
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream.set_read_timeout(Some(TIMEOUT)).expect("timeout");
+    let mut over = vec![b'x'; MAX_LINE_BYTES + 1];
+    over.push(b'\n');
+    stream.write_all(&over).expect("send the long line");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut reply = String::new();
+    reader.read_line(&mut reply).expect("error reply");
+    assert!(reply.starts_with("{\"err\":"), "{reply}");
+    assert!(reply.contains("\"kind\":\"parse_error\""), "{reply}");
+    assert!(!reply.contains("\"id\""), "{reply}");
+    // The router closes the connection instead of reading on.
+    let _ = stream.write_all(b"{\"cmd\":\"ping\"}\n");
+    let mut rest = String::new();
+    assert!(
+        matches!(reader.read_line(&mut rest), Ok(0) | Err(_)),
+        "the connection must close after the error, got {rest:?}"
+    );
+    // A fresh connection still gets an answer.
+    let pong = client_roundtrip(&addr, "{\"cmd\":\"ping\"}", 1, TIMEOUT).expect("ping");
+    assert_eq!(pong, vec!["{\"pong\":true}".to_string()]);
     router.shutdown();
     a.shutdown();
 }
