@@ -19,8 +19,8 @@
 
 use crate::error::GccoError;
 use gcco_core::{
-    BangBangCdr, BangBangConfig, CdrArch, CdrTrace, FdBangBangCdr, GardnerCdr, GardnerConfig,
-    MmCdr, MmConfig, SemiRotFdConfig,
+    BangBangCdr, BangBangConfig, CdrArch, CdrTrace, FdBangBangCdr, MuOmegaCdr, MuOmegaConfig,
+    SemiRotFdConfig, TimingDetector,
 };
 use gcco_signal::{JitterConfig, Prbs, PrbsOrder, SinusoidalJitter};
 use gcco_units::{Freq, Ui};
@@ -263,32 +263,29 @@ pub struct BaselineOut {
 }
 
 fn build_arch(arch: CdrArchKind, spec: &BaselineSpec, freq_offset: f64) -> Box<dyn CdrArch> {
-    match arch {
-        CdrArchKind::BangBang => Box::new(BangBangCdr::new(BangBangConfig {
-            kp: spec.kp,
-            ki: spec.ki,
-            freq_offset,
-        })),
-        CdrArchKind::MuellerMuller => Box::new(MmCdr::new(MmConfig {
-            gain_mu: spec.kp,
-            gain_omega: spec.ki,
-            omega_limit: MmConfig::typical().omega_limit,
-            freq_offset,
-        })),
-        CdrArchKind::Gardner => Box::new(GardnerCdr::new(GardnerConfig {
-            gain_mu: spec.kp,
-            gain_omega: spec.ki,
-            omega_limit: GardnerConfig::typical().omega_limit,
-            freq_offset,
-        })),
-        CdrArchKind::BangBangFd => Box::new(FdBangBangCdr::new(
-            SemiRotFdConfig::typical(),
-            BangBangConfig {
-                kp: spec.kp,
-                ki: spec.ki,
+    let bang_bang = BangBangConfig {
+        kp: spec.kp,
+        ki: spec.ki,
+        freq_offset,
+    };
+    let mu_omega = |detector| {
+        Box::new(MuOmegaCdr::new(
+            detector,
+            MuOmegaConfig {
+                gain_mu: spec.kp,
+                gain_omega: spec.ki,
                 freq_offset,
+                ..MuOmegaConfig::typical()
             },
-        )),
+        ))
+    };
+    match arch {
+        CdrArchKind::BangBang => Box::new(BangBangCdr::new(bang_bang)),
+        CdrArchKind::MuellerMuller => mu_omega(TimingDetector::MuellerMuller),
+        CdrArchKind::Gardner => mu_omega(TimingDetector::Gardner),
+        CdrArchKind::BangBangFd => {
+            Box::new(FdBangBangCdr::new(SemiRotFdConfig::typical(), bang_bang))
+        }
     }
 }
 
@@ -302,14 +299,17 @@ fn track(arch: CdrArchKind, spec: &BaselineSpec, freq_offset: f64, sj_amp_pp: f6
     )
 }
 
-fn summarize(trace: &CdrTrace) -> BaselineOut {
-    BaselineOut {
-        lock_bits: trace.lock_bits.map(|b| b as u64),
-        errors: trace.errors as u64,
-        updates: trace.updates as u64,
-        residual_rms_ui: trace.residual_rms(),
-        capture_range: None,
-        jtol_amp_pp: None,
+impl From<&CdrTrace> for BaselineOut {
+    /// The trace summary of one tracked run; no capture or JTOL figure.
+    fn from(trace: &CdrTrace) -> BaselineOut {
+        BaselineOut {
+            lock_bits: trace.lock_bits.map(|b| b as u64),
+            errors: trace.errors as u64,
+            updates: trace.updates as u64,
+            residual_rms_ui: trace.residual_rms(),
+            capture_range: None,
+            jtol_amp_pp: None,
+        }
     }
 }
 
@@ -329,7 +329,9 @@ pub fn run_baseline(
     metric: &BaselineMetric,
 ) -> BaselineOut {
     match *metric {
-        BaselineMetric::Track => summarize(&track(arch, spec, spec.freq_offset, spec.sj_amp_pp)),
+        BaselineMetric::Track => {
+            BaselineOut::from(&track(arch, spec, spec.freq_offset, spec.sj_amp_pp))
+        }
         BaselineMetric::CaptureRange { hi } => {
             // Bisect the largest locking offset in [0, hi], jitter-free:
             // capture is a monotone property for every loop here (more
@@ -348,7 +350,7 @@ pub fn run_baseline(
                     }
                 }
             }
-            let mut out = summarize(&track(arch, spec, lo, 0.0));
+            let mut out = BaselineOut::from(&track(arch, spec, lo, 0.0));
             out.capture_range = Some(lo);
             out
         }
@@ -379,7 +381,7 @@ pub fn run_baseline(
                     }
                 }
             }
-            let mut out = summarize(&track(arch, &probe, probe.freq_offset, lo));
+            let mut out = BaselineOut::from(&track(arch, &probe, probe.freq_offset, lo));
             out.jtol_amp_pp = Some(lo);
             out
         }

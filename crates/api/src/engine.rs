@@ -41,11 +41,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-/// How often a single-flight follower wakes to re-check its own deadline
-/// while parked on the leader's slot. Purely a latency bound on follower
-/// deadline trips — the leader's `notify_all` wakes followers immediately.
-const SINGLEFLIGHT_POLL: Duration = Duration::from_millis(5);
-
 /// Engine tuning knobs.
 #[derive(Clone, Debug)]
 pub struct EngineConfig {
@@ -102,6 +97,13 @@ impl DeadlineGuard {
 
     fn is_set(&self) -> bool {
         self.deadline.is_some()
+    }
+
+    /// Time left before the deadline (zero once it has passed), or `None`
+    /// for a guard that never trips.
+    pub fn remaining(&self) -> Option<Duration> {
+        self.deadline
+            .map(|(at, _)| at.saturating_duration_since(Instant::now()))
     }
 
     /// Fails once the deadline has passed.
@@ -440,8 +442,8 @@ impl Engine {
     /// request never occupies a slot), and every leader error — deadline
     /// trip included — propagates to followers as-is rather than leaving
     /// them hung or silently recomputing. A follower's *own* deadline is
-    /// still honored while it waits: the park re-checks its guard every
-    /// [`SINGLEFLIGHT_POLL`].
+    /// still honored while it waits: it parks at most until that deadline
+    /// (a follower without one parks until the leader publishes).
     fn dispatch_coalesced(
         &self,
         req: &EvalRequest,
@@ -477,11 +479,16 @@ impl Engine {
                 return result.clone();
             }
             guard.check()?;
-            done = slot
-                .cv
-                .wait_timeout(done, SINGLEFLIGHT_POLL)
-                .expect("slot lock poisoned")
-                .0;
+            // A spurious wakeup or an expired wait loops back to the checks.
+            done = match guard.remaining() {
+                None => slot.cv.wait(done).expect("slot lock poisoned"),
+                Some(left) => {
+                    slot.cv
+                        .wait_timeout(done, left)
+                        .expect("slot lock poisoned")
+                        .0
+                }
+            };
         }
     }
 

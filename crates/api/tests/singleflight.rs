@@ -147,3 +147,37 @@ fn leader_error_propagates_to_followers_instead_of_hanging() {
         "the error path must not spawn a second leader"
     );
 }
+
+#[test]
+fn follower_deadline_trips_while_the_leader_computes() {
+    let engine = Arc::new(Engine::new());
+    let obs = engine.obs().clone();
+    // The leader has no deadline and a 100-row grid (~600 ms in release,
+    // seconds in debug), far longer than the follower's 50 ms budget.
+    let leader = {
+        let engine = Arc::clone(&engine);
+        std::thread::spawn(move || engine.evaluate(&heavy_request_with_rows(100)))
+    };
+    wait_for("singleflight leaders", 1, || {
+        obs.counter("gcco_singleflight_leaders_total").get()
+    });
+    let started = Instant::now();
+    let follower =
+        engine.evaluate_with_deadline(&heavy_request_with_rows(100), DeadlineGuard::after_ms(50));
+    let waited = started.elapsed();
+    assert!(
+        matches!(
+            follower,
+            Err(GccoError::DeadlineExceeded { deadline_ms: 50 })
+        ),
+        "{follower:?}"
+    );
+    assert_eq!(obs.counter("gcco_singleflight_waits_total").get(), 1);
+    assert!(
+        waited >= Duration::from_millis(50),
+        "tripped early: {waited:?}"
+    );
+    // The follower came back on its own deadline, not the leader's publish.
+    assert!(!leader.is_finished(), "leader finished first ({waited:?})");
+    assert!(leader.join().expect("leader panicked").is_ok());
+}

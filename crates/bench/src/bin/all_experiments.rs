@@ -30,7 +30,6 @@ const EXPERIMENTS: &[&str] = &[
     "fig18",
     "power_budget",
     "ftol",
-    "baselines",
     "baseline_suite",
     "jitter_transfer",
     "temperature",
@@ -94,5 +93,38 @@ fn main() {
     if !failures.is_empty() {
         eprintln!("failed: {failures:?}");
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::EXPERIMENTS;
+    use std::path::Path;
+
+    /// Binaries the runner deliberately leaves out: itself, and the timing
+    /// harness (its numbers depend on the machine, not the model).
+    const NOT_EXPERIMENTS: &[&str] = &["all_experiments", "perf_snapshot"];
+
+    #[test]
+    fn experiments_match_the_binaries() {
+        let bin_dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("src/bin");
+        for name in EXPERIMENTS {
+            assert!(
+                bin_dir.join(format!("{name}.rs")).is_file(),
+                "EXPERIMENTS lists {name:?}, but src/bin/{name}.rs does not exist"
+            );
+        }
+        for entry in std::fs::read_dir(&bin_dir).expect("src/bin readable") {
+            let path = entry.expect("dir entry").path();
+            let Some(name) = path.file_stem().and_then(|s| s.to_str()) else {
+                continue;
+            };
+            if path.extension().is_some_and(|e| e == "rs") && !NOT_EXPERIMENTS.contains(&name) {
+                assert!(
+                    EXPERIMENTS.contains(&name),
+                    "src/bin/{name}.rs is not listed in EXPERIMENTS"
+                );
+            }
+        }
     }
 }

@@ -29,14 +29,6 @@ pub const ALL_KEYS: &[&str] = &[
     STRESSED_ERRORS_WITHOUT,
     // ablation_gating
     OFFSETS_WHERE_ONLY_GATED_MODEL_AGREES,
-    // baselines
-    JTOL_0P01FB_GCCO,
-    JTOL_0P01FB_BANGBANG,
-    JTOL_0P01FB_PI,
-    FTOL_GCCO_PCT,
-    BB_LOCK_BITS,
-    POWER_RATIO_BB_OVER_GCCO,
-    POWER_RATIO_PI_OVER_GCCO,
     // baseline_suite
     BASELINE_STORE_HITS,
     BASELINE_GCCO_JTOL_0P01FB,
@@ -52,6 +44,11 @@ pub const ALL_KEYS: &[&str] = &[
     BASELINE_FD_LOCK_BITS,
     BASELINE_FD_JTOL_0P01FB,
     BASELINE_FD_CAPTURE_PCT,
+    BASELINE_PI_LOCK_BITS,
+    BASELINE_PI_JTOL_0P01FB,
+    BASELINE_PI_CAPTURE_PCT,
+    BASELINE_POWER_RATIO_BB_OVER_GCCO,
+    BASELINE_POWER_RATIO_PI_OVER_GCCO,
     // campaign
     CAMPAIGN_CORNERS,
     CAMPAIGN_PASS,
@@ -172,23 +169,7 @@ pub const STRESSED_ERRORS_WITHOUT: &str = "stressed_errors_without";
 /// Offsets where only the gated model matches Monte-Carlo.
 pub const OFFSETS_WHERE_ONLY_GATED_MODEL_AGREES: &str = "offsets_where_only_gated_model_agrees";
 
-// baselines — GCCO vs bang-bang vs PI
-/// GCCO JTOL at 0.01 f_b, UIpp.
-pub const JTOL_0P01FB_GCCO: &str = "jtol_0p01fb_gcco";
-/// Bang-bang JTOL at 0.01 f_b, UIpp.
-pub const JTOL_0P01FB_BANGBANG: &str = "jtol_0p01fb_bangbang";
-/// Phase-interpolator JTOL at 0.01 f_b, UIpp.
-pub const JTOL_0P01FB_PI: &str = "jtol_0p01fb_pi";
-/// GCCO frequency tolerance, percent.
-pub const FTOL_GCCO_PCT: &str = "ftol_gcco_pct";
-/// Bang-bang lock acquisition, bits.
-pub const BB_LOCK_BITS: &str = "bb_lock_bits";
-/// Bang-bang/GCCO power ratio.
-pub const POWER_RATIO_BB_OVER_GCCO: &str = "power_ratio_bb_over_gcco";
-/// PI/GCCO power ratio.
-pub const POWER_RATIO_PI_OVER_GCCO: &str = "power_ratio_pi_over_gcco";
-
-// baseline_suite — behavioral CDR bake-off
+// baseline_suite — GCCO vs the behavioral CDR loops
 /// Store hits this run (>0 proves a warm run replayed journaled rows).
 pub const BASELINE_STORE_HITS: &str = "baseline_store_hits";
 /// GCCO JTOL at 0.01 f_b, UIpp (engine jtol_curve).
@@ -217,6 +198,16 @@ pub const BASELINE_FD_LOCK_BITS: &str = "baseline_fd_lock_bits";
 pub const BASELINE_FD_JTOL_0P01FB: &str = "baseline_fd_jtol_0p01fb";
 /// FD-assisted bang-bang bisected capture range, percent of f_b.
 pub const BASELINE_FD_CAPTURE_PCT: &str = "baseline_fd_capture_pct";
+/// Phase-interpolator behavioral lock acquisition, bits (or `none`).
+pub const BASELINE_PI_LOCK_BITS: &str = "baseline_pi_lock_bits";
+/// Phase-interpolator slew-limited JTOL at 0.01 f_b, UIpp.
+pub const BASELINE_PI_JTOL_0P01FB: &str = "baseline_pi_jtol_0p01fb";
+/// Phase-interpolator rotation-rate cap, percent of f_b.
+pub const BASELINE_PI_CAPTURE_PCT: &str = "baseline_pi_capture_pct";
+/// Bang-bang/GCCO per-channel power ratio.
+pub const BASELINE_POWER_RATIO_BB_OVER_GCCO: &str = "baseline_power_ratio_bb_over_gcco";
+/// Phase-interpolator/GCCO per-channel power ratio.
+pub const BASELINE_POWER_RATIO_PI_OVER_GCCO: &str = "baseline_power_ratio_pi_over_gcco";
 
 // campaign — multi-channel corner-yield campaign
 /// Corner count in the campaign grid.

@@ -144,11 +144,7 @@ impl CdrArch for BangBangCdr {
             // confirming transition.
             lock.observe(error, edge_bit.round().max(0.0) as usize, trace.updates - 1);
         }
-        if let Some((update, bit)) = lock.lock() {
-            trace.lock_update = Some(update);
-            trace.lock_bits = Some(bit);
-        }
-        trace
+        trace.with_lock(&lock)
     }
 
     /// The slip-free lock-in range: the proportional path corrects at

@@ -4,15 +4,15 @@
 //! The paper's §1 dismisses "popular PLL, DLL or phase interpolation
 //! techniques" on power and acquisition grounds. To make that a
 //! reproducible figure instead of a claim, every behavioral baseline —
-//! the bang-bang loop ([`crate::BangBangCdr`]), the Mueller&Müller
-//! timing-error-detector loop ([`crate::MmCdr`]), the Gardner loop
-//! ([`crate::GardnerCdr`]), and the semi-rotational-FD-assisted bang-bang
-//! ([`crate::FdBangBangCdr`]) — implements [`CdrArch`]: track a jittered
-//! stream and report the same [`CdrTrace`] (phase-error trace, lock bit,
-//! sampling-error count), plus an analytic capture-range estimate. The
-//! GCCO itself needs no entry here: it has no loop, so its "lock time" is
-//! one edge-detector delay and its capture range is the §2.3 frequency
-//! tolerance.
+//! the bang-bang loop ([`crate::BangBangCdr`]), the Mueller&Müller and
+//! Gardner timing-error-detector loops ([`crate::MuOmegaCdr`]), the
+//! semi-rotational-FD-assisted bang-bang ([`crate::FdBangBangCdr`]), and
+//! the phase interpolator ([`crate::PhaseInterpCdr`]) — implements
+//! [`CdrArch`]: track a jittered stream and report the same [`CdrTrace`]
+//! (phase-error trace, lock bit, sampling-error count), plus an analytic
+//! capture-range estimate. The GCCO itself needs no entry here: it has no
+//! loop, so its "lock time" is one edge-detector delay and its capture
+//! range is the §2.3 frequency tolerance.
 
 use gcco_signal::{BitStream, EdgeStream, JitterConfig};
 use gcco_units::Freq;
@@ -63,6 +63,15 @@ impl CdrTrace {
             error_updates: Vec::new(),
             updates: 0,
         }
+    }
+
+    /// The trace with `lock`'s confirmed entry (if any) filled in.
+    pub fn with_lock(mut self, lock: &LockDetector) -> CdrTrace {
+        if let Some((update, bit)) = lock.lock() {
+            self.lock_update = Some(update);
+            self.lock_bits = Some(bit);
+        }
+        self
     }
 
     /// Records one sampling error at `update`.

@@ -9,9 +9,9 @@
 //! and the interpolator, its thermometer DAC and the multi-phase clock
 //! distribution are exactly the power the paper's gated oscillator avoids.
 
+use crate::cdr_arch::{CdrArch, CdrTrace, LockDetector};
 use gcco_signal::{BitStream, EdgeStream, JitterConfig};
 use gcco_units::{Freq, Ui};
-use std::fmt;
 
 /// Phase-interpolator CDR parameters.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -46,44 +46,22 @@ impl Default for PiConfig {
     }
 }
 
-/// Result of a PI-CDR tracking run.
-#[derive(Clone, Debug)]
-pub struct PiRunResult {
-    /// Residual phase error (UI) at each transition.
-    pub phase_error: Vec<f64>,
-    /// Sampling errors (error beyond ±0.5 UI).
-    pub errors: usize,
-    /// Transitions processed.
-    pub transitions: usize,
-    /// Quantization-induced RMS phase ripple after lock.
-    pub quantization_rms: f64,
-}
-
-impl fmt::Display for PiRunResult {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "PI CDR: {} transitions, {} errors, q-ripple {:.4} UI",
-            self.transitions, self.errors, self.quantization_rms
-        )
-    }
-}
-
 /// A phase-interpolator CDR operating on edge displacements.
 ///
 /// # Examples
 ///
 /// ```
-/// use gcco_core::{PhaseInterpCdr, PiConfig};
+/// use gcco_core::{CdrArch, PhaseInterpCdr, PiConfig};
 /// use gcco_signal::{JitterConfig, Prbs, PrbsOrder};
 /// use gcco_units::Freq;
 ///
 /// let bits = Prbs::new(PrbsOrder::P7).take_bits(20_000);
 /// let cdr = PhaseInterpCdr::new(PiConfig::typical());
-/// let result = cdr.run(&bits, Freq::from_gbps(2.5), &JitterConfig::none(), 1);
-/// assert_eq!(result.errors, 0);
+/// let trace = cdr.track(&bits, Freq::from_gbps(2.5), &JitterConfig::none(), 1);
+/// assert_eq!(trace.errors, 0);
+/// assert!(trace.lock_bits.is_some());
 /// // Quantization floor: the PI can never sit still, it dithers ±1 step.
-/// assert!(result.quantization_rms >= 0.5 / 64.0 * 0.5);
+/// assert!(trace.residual_rms().unwrap() >= 0.5 / 64.0 * 0.5);
 /// ```
 #[derive(Clone, Copy, Debug)]
 pub struct PhaseInterpCdr {
@@ -95,7 +73,7 @@ impl PhaseInterpCdr {
     ///
     /// # Panics
     ///
-    /// Panics if `steps_per_ui` or `decimation` is zero.
+    /// Panics if `steps_per_ui` is below 4 or `decimation` is zero.
     pub fn new(config: PiConfig) -> PhaseInterpCdr {
         assert!(config.steps_per_ui >= 4, "need at least 4 steps/UI");
         assert!(config.decimation >= 1, "decimation must be at least 1");
@@ -107,14 +85,34 @@ impl PhaseInterpCdr {
         &self.config
     }
 
-    /// Tracks a jittered stream, starting half a UI off.
-    pub fn run(
+    /// The loop's largest phase slew, UI per UI at transition density `rho`.
+    fn slew_per_ui(&self, rho: f64) -> f64 {
+        let cfg = &self.config;
+        cfg.steps_per_update as f64 * rho / (cfg.decimation as f64 * cfg.steps_per_ui as f64)
+    }
+
+    /// Slew-limited jitter tolerance, like the bang-bang loop but per
+    /// decimated update: `A_max = steps_per_update·ρ/(decimation·steps_per_ui·π·f)`.
+    pub fn jtol_slew_limit(&self, f_norm: f64, transition_density: f64) -> Ui {
+        assert!(f_norm > 0.0, "invalid frequency {f_norm}");
+        Ui::new(self.slew_per_ui(transition_density) / (std::f64::consts::PI * f_norm))
+    }
+}
+
+impl CdrArch for PhaseInterpCdr {
+    fn name(&self) -> &'static str {
+        "phase-interp"
+    }
+
+    /// Tracks a jittered stream, starting half a UI off; one update per
+    /// transition, a code step per `decimation` majority-voted updates.
+    fn track(
         &self,
         bits: &BitStream,
         bit_rate: Freq,
         jitter: &JitterConfig,
         seed: u64,
-    ) -> PiRunResult {
+    ) -> CdrTrace {
         let cfg = &self.config;
         let stream = EdgeStream::synthesize(bits, bit_rate, jitter, seed);
         let ui = bit_rate.period();
@@ -126,12 +124,8 @@ impl PhaseInterpCdr {
         let mut votes_seen: u32 = 0;
         let mut last_edge_bit = 0.0f64;
         let mut frac_rotation = 0.0f64;
-        let mut result = PiRunResult {
-            phase_error: Vec::with_capacity(stream.edges().len()),
-            errors: 0,
-            transitions: 0,
-            quantization_rms: 0.0,
-        };
+        let mut trace = CdrTrace::with_capacity(stream.edges().len());
+        let mut lock = LockDetector::new();
 
         for edge in stream.edges() {
             let edge_bit = edge.time / ui;
@@ -144,11 +138,12 @@ impl PhaseInterpCdr {
             let theta = code as f64 * step + frac_rotation;
             let displacement = edge_bit - edge_bit.round();
             let error = displacement - theta;
-            result.transitions += 1;
             if error.abs() > 0.5 {
-                result.errors += 1;
+                trace.record_error(trace.updates);
             }
-            result.phase_error.push(error);
+            trace.phase_error.push(error);
+            lock.observe(error, edge_bit.round().max(0.0) as usize, trace.updates);
+            trace.updates += 1;
 
             // Decimated majority-vote bang-bang update.
             vote += if error > 0.0 { 1 } else { -1 };
@@ -163,24 +158,14 @@ impl PhaseInterpCdr {
                 votes_seen = 0;
             }
         }
-        // Quantization ripple over the settled second half.
-        let tail = &result.phase_error[result.phase_error.len() / 2..];
-        if !tail.is_empty() {
-            let mean = tail.iter().sum::<f64>() / tail.len() as f64;
-            result.quantization_rms =
-                (tail.iter().map(|e| (e - mean).powi(2)).sum::<f64>() / tail.len() as f64).sqrt();
-        }
-        result
+        trace.with_lock(&lock)
     }
 
-    /// Slew-limited jitter tolerance, like the bang-bang loop but per
-    /// decimated update: `A_max = steps_per_update·ρ/(decimation·steps_per_ui·π·f)`.
-    pub fn jtol_slew_limit(&self, f_norm: f64, transition_density: f64) -> Ui {
-        assert!(f_norm > 0.0, "invalid frequency {f_norm}");
-        let cfg = &self.config;
-        let slew_per_ui = cfg.steps_per_update as f64 * transition_density
-            / (cfg.decimation as f64 * cfg.steps_per_ui as f64);
-        Ui::new(slew_per_ui / (std::f64::consts::PI * f_norm))
+    /// The rotation-rate cap: the interpolator can counter-rotate at most
+    /// its slew at PRBS7 transition density (ρ ≈ 0.5), so a larger
+    /// reference offset outruns it.
+    fn capture_range(&self) -> f64 {
+        self.slew_per_ui(0.5)
     }
 }
 
@@ -197,14 +182,23 @@ mod tests {
         Prbs::new(PrbsOrder::P7).take_bits(n)
     }
 
+    /// Quantization-induced RMS phase ripple: the standard deviation of
+    /// the phase error over the settled second half of the run.
+    fn quantization_rms(trace: &CdrTrace) -> f64 {
+        let tail = &trace.phase_error[trace.phase_error.len() / 2..];
+        let mean = tail.iter().sum::<f64>() / tail.len() as f64;
+        (tail.iter().map(|e| (e - mean).powi(2)).sum::<f64>() / tail.len() as f64).sqrt()
+    }
+
     #[test]
     fn acquires_and_tracks_clean_data() {
         let cdr = PhaseInterpCdr::new(PiConfig::typical());
-        let result = cdr.run(&bits(30_000), rate(), &JitterConfig::none(), 1);
-        assert_eq!(result.errors, 0, "{result}");
+        let trace = cdr.track(&bits(30_000), rate(), &JitterConfig::none(), 1);
+        assert_eq!(trace.errors, 0, "{trace}");
+        assert!(trace.lock_bits.is_some(), "{trace}");
         // Settled error bounded by a few interpolator steps.
-        let tail = &result.phase_error[result.phase_error.len() * 3 / 4..];
-        assert!(tail.iter().all(|e| e.abs() < 4.0 / 64.0), "{result}");
+        let tail = &trace.phase_error[trace.phase_error.len() * 3 / 4..];
+        assert!(tail.iter().all(|e| e.abs() < 4.0 / 64.0), "{trace}");
     }
 
     #[test]
@@ -212,8 +206,8 @@ mod tests {
         // Unlike the gated oscillator (continuous resync), the PI dithers
         // around the lock point by at least a step.
         let cdr = PhaseInterpCdr::new(PiConfig::typical());
-        let result = cdr.run(&bits(30_000), rate(), &JitterConfig::none(), 2);
-        assert!(result.quantization_rms >= 0.25 / 64.0, "{result}");
+        let trace = cdr.track(&bits(30_000), rate(), &JitterConfig::none(), 2);
+        assert!(quantization_rms(&trace) >= 0.25 / 64.0, "{trace}");
     }
 
     #[test]
@@ -227,9 +221,9 @@ mod tests {
             ..PiConfig::typical()
         });
         let data = bits(30_000);
-        let rc = coarse.run(&data, rate(), &JitterConfig::none(), 3);
-        let rf = fine.run(&data, rate(), &JitterConfig::none(), 3);
-        assert!(rf.quantization_rms < rc.quantization_rms, "{rc} vs {rf}");
+        let rc = quantization_rms(&coarse.track(&data, rate(), &JitterConfig::none(), 3));
+        let rf = quantization_rms(&fine.track(&data, rate(), &JitterConfig::none(), 3));
+        assert!(rf < rc, "{rc} vs {rf}");
     }
 
     #[test]
@@ -238,11 +232,11 @@ mod tests {
             freq_offset: 200e-6,
             ..PiConfig::typical()
         });
-        let result = cdr.run(&bits(60_000), rate(), &JitterConfig::none(), 4);
+        let trace = cdr.track(&bits(60_000), rate(), &JitterConfig::none(), 4);
         // A handful of decisions can cross ±0.5 UI during the worst-case
         // 0.5 UI acquisition; post-lock there must be none.
-        assert!(result.errors < 20, "{result}");
-        let tail = &result.phase_error[result.phase_error.len() / 2..];
+        assert!(trace.errors < 20, "{trace}");
+        let tail = &trace.phase_error[trace.phase_error.len() / 2..];
         assert!(tail.iter().all(|e| e.abs() < 0.5), "post-lock errors");
         let mean = tail.iter().sum::<f64>() / tail.len() as f64;
         assert!(mean.abs() < 0.05, "residual {mean}");
@@ -257,8 +251,8 @@ mod tests {
             freq_offset: 0.01,
             ..PiConfig::typical()
         });
-        let result = cdr.run(&bits(60_000), rate(), &JitterConfig::none(), 5);
-        assert!(result.errors > 0, "{result}");
+        let trace = cdr.track(&bits(60_000), rate(), &JitterConfig::none(), 5);
+        assert!(trace.errors > 0, "{trace}");
     }
 
     #[test]
@@ -266,11 +260,11 @@ mod tests {
         let cdr = PhaseInterpCdr::new(PiConfig::typical());
         let slow =
             JitterConfig::none().with_sj(SinusoidalJitter::new(Ui::new(0.4), Freq::from_khz(50.0)));
-        let ok = cdr.run(&bits(60_000), rate(), &slow, 6);
+        let ok = cdr.track(&bits(60_000), rate(), &slow, 6);
         assert_eq!(ok.errors, 0, "{ok}");
         let fast = JitterConfig::none()
             .with_sj(SinusoidalJitter::new(Ui::new(1.4), Freq::from_mhz(625.0)));
-        let bad = cdr.run(&bits(60_000), rate(), &fast, 7);
+        let bad = cdr.track(&bits(60_000), rate(), &fast, 7);
         assert!(bad.errors > 0, "{bad}");
     }
 
@@ -280,6 +274,20 @@ mod tests {
         let a = cdr.jtol_slew_limit(0.001, 0.5);
         let b = cdr.jtol_slew_limit(0.01, 0.5);
         assert!((a.value() / b.value() - 10.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn capture_range_is_the_rotation_cap() {
+        let cdr = PhaseInterpCdr::new(PiConfig::typical());
+        assert_eq!(cdr.name(), "phase-interp");
+        // steps_per_update·ρ/(decimation·steps_per_ui) at ρ = 0.5.
+        assert_eq!(cdr.capture_range(), 1.0 * 0.5 / (8.0 * 64.0));
+        let fast = PhaseInterpCdr::new(PiConfig {
+            steps_per_update: 2,
+            decimation: 4,
+            ..PiConfig::typical()
+        });
+        assert_eq!(fast.capture_range(), 4.0 * cdr.capture_range());
     }
 
     #[test]

@@ -15,9 +15,9 @@
 //!   channels inherit (Fig. 6);
 //! * [`MultiChannelReceiver`] — the channel array with CCO mismatch;
 //! * [`ElasticBuffer`] — the recovered-to-system clock crossing (Fig. 4);
-//! * [`BangBangCdr`], [`MmCdr`], [`GardnerCdr`], [`FdBangBangCdr`] — the
-//!   conventional per-channel CDR architectures the paper argues against,
-//!   unified under the [`CdrArch`] trait for quantitative comparison;
+//! * [`BangBangCdr`], [`MuOmegaCdr`], [`FdBangBangCdr`], [`PhaseInterpCdr`]
+//!   — the conventional per-channel CDR architectures the paper argues
+//!   against, unified under the [`CdrArch`] trait for quantitative comparison;
 //! * [`LinkComparison`] — the parallel-bus-versus-serial budget of Fig. 1;
 //! * [`run_design_flow`] — the four-gate top-down methodology itself.
 //!
@@ -46,13 +46,12 @@ mod cdr_arch;
 mod edge_detector;
 mod elastic;
 mod flow;
-mod gardner;
 mod gcco;
 mod interp;
 mod jtran;
 mod linkmodel;
 mod los;
-mod mm;
+mod mu_omega;
 mod multichannel;
 mod pll;
 mod receiver;
@@ -66,13 +65,12 @@ pub use cdr_arch::{
 pub use edge_detector::{EdgeDetector, EdgeDetectorHandles};
 pub use elastic::{ElasticBuffer, ElasticRunResult};
 pub use flow::{run_design_flow, DesignReport, FlowSpec, StepReport};
-pub use gardner::{GardnerCdr, GardnerConfig};
 pub use gcco::{CcoParams, GatedOscillator, GccoHandles};
-pub use interp::{PhaseInterpCdr, PiConfig, PiRunResult};
+pub use interp::{PhaseInterpCdr, PiConfig};
 pub use jtran::{bang_bang_jitter_transfer, gcco_jitter_transfer};
 pub use linkmodel::{LinkComparison, ParallelBus, SerialLink};
 pub use los::{add_los_monitor, LossOfSignal};
-pub use mm::{MmCdr, MmConfig};
+pub use mu_omega::{MuOmegaCdr, MuOmegaConfig, TimingDetector};
 pub use multichannel::{ChannelConfig, MultiChannelReceiver, MultiChannelResult};
 pub use pll::{PllConfig, PllLockResult, SharedPll};
 pub use receiver::{ReceiverResult, SerialReceiver};

@@ -171,11 +171,7 @@ impl CdrArch for FdBangBangCdr {
             trace.phase_error.push(error);
             lock.observe(error, edge_bit.round().max(0.0) as usize, trace.updates - 1);
         }
-        if let Some((update, bit)) = lock.lock() {
-            trace.lock_update = Some(update);
-            trace.lock_bits = Some(bit);
-        }
-        trace
+        trace.with_lock(&lock)
     }
 
     /// Rotation tracking aliases once the wrapped error moves more than
